@@ -1,12 +1,12 @@
 # Development targets. `make check` is the gate a change must pass before
-# it ships: build, vet, the full test suite, and the race detector over the
-# concurrency-heavy packages.
+# it ships: build, vet, the full test suite, the race detector over the
+# concurrency-heavy packages, and the benchmark module's vet and self-test.
 
 GO ?= go
 
-.PHONY: check build vet test race bench-json serve-smoke soak-smoke cluster-smoke clean
+.PHONY: check build vet test race bench-module bench-json serve-smoke soak-smoke clean
 
-check: build vet test race
+check: build vet test race bench-module
 
 build:
 	$(GO) build ./...
@@ -22,7 +22,13 @@ test:
 # internal/kernel rides along because its Prep is shared read-only across
 # worker goroutines — the race detector proves no traversal mutates it.
 race:
-	$(GO) test -race ./internal/concurrent ./internal/share ./internal/engine ./internal/server ./internal/kernel ./internal/cluster/router
+	$(GO) test -race ./internal/concurrent ./internal/share ./internal/engine ./internal/server ./internal/kernel
+
+# The benchmark harness (perfbench/) is a separate module outside ./..., so
+# the targets above never compile it; vet and self-test it here so a change
+# to server, snapshot or sched that breaks the benchmark build fails the gate.
+bench-module:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Regenerate the benchmark-trajectory artifact (BENCH_runs.json).
 bench-json:
@@ -40,13 +46,6 @@ serve-smoke:
 # injected-overload phase that fires and validates a diagnostic bundle.
 soak-smoke:
 	bash scripts/soak_smoke.sh $(SMOKE_WORK)
-
-# Cluster smoke: partition the program into 2 shards, boot both replicas
-# behind a parcflrouter, assert routed results byte-identical to an
-# unsharded daemon, then kill a shard and assert graceful degradation
-# (503 + Retry-After all-or-nothing, partial results with allow_partial).
-cluster-smoke:
-	bash scripts/cluster_smoke.sh $(SMOKE_WORK)
 
 clean:
 	$(GO) clean ./...

@@ -9,8 +9,6 @@
 //	$ parcflctl bundle ls                          # diagnostic bundles
 //	$ parcflctl bundle trigger -reason "paged"     # capture one now
 //	$ parcflctl bundle fetch <id> -o out.tar.gz    # download one
-//	$ parcflctl -addr localhost:7070 cluster ls    # shard health via the router
-//	$ parcflctl cluster slo                        # per-shard burn rates
 //
 // Every subcommand is a thin client over one GET endpoint, so none of the
 // daemon's JSON debug endpoints require hand-rolled curl + jq. -json prints
@@ -29,7 +27,6 @@ import (
 	"strings"
 	"time"
 
-	"parcfl/internal/cluster/router"
 	"parcfl/internal/diag"
 	"parcfl/internal/obs"
 )
@@ -55,8 +52,6 @@ commands:
               capture a diagnostic bundle now
   bundle fetch <id> [-o file]
               download a bundle tar.gz
-  cluster ls  shard health/latency rollup from a parcflrouter
-  cluster slo per-shard SLO burn rates side by side (via the router)
 `)
 	os.Exit(2)
 }
@@ -104,18 +99,6 @@ func main() {
 		c.rawJSON("/debug/statusz", "statusz")
 	case "heat":
 		c.rawJSON("/debug/heat", "heat")
-	case "cluster":
-		if len(args) < 2 {
-			usage()
-		}
-		switch args[1] {
-		case "ls":
-			c.clusterLs(args[2:])
-		case "slo":
-			c.clusterSLO(args[2:])
-		default:
-			usage()
-		}
 	case "bundle":
 		if len(args) < 2 {
 			usage()
@@ -304,83 +287,6 @@ func (c ctl) slo(args []string) {
 			w.Availability, w.AvailBurnRate,
 			w.LatencyAttainment, w.LatencyBurnRate,
 			time.Duration(w.MeanLatencyNS))
-	}
-}
-
-// clusterLs renders a parcflrouter's /v1/cluster rollup: one row per shard
-// with health, ownership size, traffic and router-observed latency.
-func (c ctl) clusterLs(args []string) {
-	fs := flag.NewFlagSet("cluster ls", flag.ExitOnError)
-	_ = fs.Parse(args)
-
-	var st router.ClusterStatus
-	if err := c.get("/v1/cluster", &st); err != nil {
-		fail(err)
-	}
-	if c.asJSON {
-		printJSON(st)
-		return
-	}
-	fmt.Printf("cluster    %d/%d shards up, %d nodes in %d components, router up %s\n",
-		st.ShardsUp, st.NumShards, st.NumNodes, st.NumComponents,
-		time.Duration(st.UptimeNS).Round(time.Second))
-	fmt.Printf("%-5s %-6s %8s %10s %8s %12s %12s  %s\n",
-		"SHARD", "UP", "NODES", "REQUESTS", "ERRORS", "P50", "P99", "ADDR")
-	for _, s := range st.Shards {
-		up := "up"
-		if !s.Up {
-			up = "DOWN"
-		}
-		fmt.Printf("%-5d %-6s %8d %10d %8d %12s %12s  %s\n",
-			s.Index, up, s.Nodes, s.Requests, s.Errors,
-			time.Duration(s.P50NS), time.Duration(s.P99NS), s.Addr)
-		if s.LastError != "" {
-			fmt.Printf("      last error: %s\n", s.LastError)
-		}
-	}
-}
-
-// clusterSLO renders /v1/cluster/slo: each shard's burn-rate windows side
-// by side, so one hot replica is visible before the cluster-summed stats
-// move.
-func (c ctl) clusterSLO(args []string) {
-	fs := flag.NewFlagSet("cluster slo", flag.ExitOnError)
-	_ = fs.Parse(args)
-
-	var payload struct {
-		Schema string               `json:"schema"`
-		Shards []router.ShardSLORow `json:"shards"`
-	}
-	if err := c.get("/v1/cluster/slo", &payload); err != nil {
-		fail(err)
-	}
-	if c.asJSON {
-		printJSON(payload)
-		return
-	}
-	for _, row := range payload.Shards {
-		fmt.Printf("shard %d (%s)\n", row.Index, row.Addr)
-		if row.Error != "" {
-			fmt.Printf("  unreachable: %s\n", row.Error)
-			continue
-		}
-		var snap obs.SLOSnapshot
-		if err := json.Unmarshal(row.SLO, &snap); err != nil {
-			fmt.Printf("  bad payload: %v\n", err)
-			continue
-		}
-		if len(snap.Windows) == 0 {
-			fmt.Println("  no windows configured")
-			continue
-		}
-		fmt.Printf("  %-8s %8s %10s %10s %10s %10s\n",
-			"WINDOW", "TOTAL", "AVAIL", "BURN", "LAT-ATT", "LAT-BURN")
-		for _, w := range snap.Windows {
-			fmt.Printf("  %-8s %8d %10.4f %10.2f %10.4f %10.2f\n",
-				time.Duration(w.WindowSec)*time.Second, w.Total,
-				w.Availability, w.AvailBurnRate,
-				w.LatencyAttainment, w.LatencyBurnRate)
-		}
 	}
 }
 

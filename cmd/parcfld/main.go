@@ -25,11 +25,11 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
 
-	"parcfl/internal/cluster"
 	"parcfl/internal/diag"
 	"parcfl/internal/engine"
 	"parcfl/internal/frontend"
@@ -37,7 +37,6 @@ import (
 	"parcfl/internal/javagen"
 	"parcfl/internal/mjlang"
 	"parcfl/internal/obs"
-	"parcfl/internal/pag"
 	"parcfl/internal/server"
 	"parcfl/internal/snapshot"
 )
@@ -94,9 +93,6 @@ func main() {
 	bundleRetain := flag.Int("bundle-retain", 8, "max bundles kept on disk; older ones are deleted")
 	bundleCPUProfile := flag.Duration("bundle-cpu-profile", 250*time.Millisecond, "CPU-profile sampling window per bundle (negative = no cpu.pprof)")
 	bundleAnomalyWindow := flag.Duration("bundle-anomaly-window", 5*time.Second, "retain every request trace for this long after a watchdog rule fires (negative = off)")
-	shardSpec := flag.String("shard", "", "serve shard i of N (\"i/N\") of the -plan partition; queries owned elsewhere get a typed 421 redirect")
-	planPath := flag.String("plan", "", "shard plan file (parcfl-shardplan/v1); read with -shard, written by -write-plan")
-	writePlan := flag.Int("write-plan", 0, "partition the loaded program into N component-aware shards, write the plan to -plan and exit")
 	traceStore := flag.Int("trace-store", 512, "retain up to this many tail-sampled request traces, queryable at /debug/traces (0 = off)")
 	traceSample := flag.Float64("trace-sample", 0.01, "probability a healthy fast request is retained in the trace store as a baseline")
 	traceSlowQ := flag.Float64("trace-slow-quantile", 0.99, "live latency quantile above which a request trace is always retained")
@@ -105,44 +101,6 @@ func main() {
 	m, err := parseMode(*mode)
 	if err != nil {
 		fail(err)
-	}
-
-	// -write-plan is a build step, not a serving mode: partition the program
-	// the other flags describe, persist the plan, exit.
-	if *writePlan > 0 {
-		if *planPath == "" {
-			fail(fmt.Errorf("-write-plan needs -plan to say where the plan goes"))
-		}
-		g := planGraph(*snapPath, *srcFile, *goFile, *bench, *scale)
-		p, err := cluster.BuildPlan(g, *writePlan)
-		if err != nil {
-			fail(err)
-		}
-		if err := cluster.SavePlan(*planPath, p); err != nil {
-			fail(err)
-		}
-		fmt.Printf("parcfld: %d-shard plan over %d nodes (%d components) written to %s; shard sizes %v\n",
-			p.NumShards, p.NumNodes, p.NumComponents, *planPath, p.ShardSizes)
-		return
-	}
-
-	shardIdx, shardCount := 0, 0
-	var plan *cluster.Plan
-	if *shardSpec != "" {
-		if _, err := fmt.Sscanf(*shardSpec, "%d/%d", &shardIdx, &shardCount); err != nil ||
-			shardIdx < 0 || shardCount < 1 || shardIdx >= shardCount {
-			fail(fmt.Errorf("bad -shard %q (want i/N with 0 <= i < N)", *shardSpec))
-		}
-		if *planPath == "" {
-			fail(fmt.Errorf("-shard needs -plan (build one with -write-plan)"))
-		}
-		plan, err = cluster.LoadPlan(*planPath)
-		if err != nil {
-			fail(err)
-		}
-		if plan.NumShards != shardCount {
-			fail(fmt.Errorf("-shard %s disagrees with the plan's %d shards", *shardSpec, plan.NumShards))
-		}
 	}
 
 	sink := obs.New(obs.Config{Workers: max(*threads, 1), TraceCap: 1 << 14})
@@ -188,25 +146,12 @@ func main() {
 		ResultCache: *cache, BatchWindow: *batchWindow, MaxBatch: *batchMax,
 		QueueDepth: *queue, Kernel: *kern, Obs: sink,
 	}
-	if plan != nil {
-		enc, err := plan.Encode()
-		if err != nil {
-			fail(err)
-		}
-		cfg.ShardOf = plan.ShardOf
-		cfg.ShardIndex = shardIdx
-		cfg.ShardCount = shardCount
-		cfg.ShardPlan = enc
-	}
 
 	// Warm start beats cold load: an existing snapshot carries the graph
 	// plus every jump edge and cached result earlier runs paid for.
 	var srv *server.Server
 	if *snapPath != "" {
 		if snap, err := snapshot.Load(*snapPath); err == nil {
-			if plan != nil {
-				snap = shardSlice(snap, plan, shardIdx, shardCount)
-			}
 			srv = server.NewFromSnapshot(snap, cfg)
 			fmt.Printf("parcfld: warm start from %s (%d nodes, store epoch %d, saved %s)\n",
 				*snapPath, snap.Graph.NumNodes(), storeEpoch(snap),
@@ -217,20 +162,11 @@ func main() {
 	}
 	if srv == nil {
 		lo := load(*srcFile, *goFile, *bench, *scale)
-		if plan != nil {
-			if err := plan.Matches(lo.Graph); err != nil {
-				fail(fmt.Errorf("plan does not match the loaded program: %w", err))
-			}
-		}
 		cfg.TypeLevels = lo.TypeLevels
 		cfg.QueryVars = lo.AppQueryVars
 		srv = server.New(lo.Graph, cfg)
 		fmt.Printf("parcfld: cold start (%d nodes, %d query vars)\n",
 			lo.Graph.NumNodes(), len(lo.AppQueryVars))
-	}
-	if plan != nil {
-		fmt.Printf("parcfld: shard mode %d/%d (%d of %d nodes owned)\n",
-			shardIdx, shardCount, plan.ShardSizes[shardIdx], plan.NumNodes)
 	}
 
 	// The fallback mux: the standard obs surface (/metrics, /debug/*,
@@ -290,7 +226,7 @@ func main() {
 	fmt.Printf("parcfld: serving on http://%s\n", ln.Addr())
 	if *addrFile != "" {
 		// Atomic so a script polling the path can never read a partial write.
-		if err := cluster.WriteFileAtomic(*addrFile, []byte(ln.Addr().String())); err != nil {
+		if err := writeFileAtomic(*addrFile, []byte(ln.Addr().String())); err != nil {
 			fail(err)
 		}
 	}
@@ -396,45 +332,27 @@ func load(srcFile, goFile, bench string, scale float64) *frontend.Lowered {
 	return lo
 }
 
-// planGraph resolves the graph -write-plan partitions: a warm snapshot's
-// when one exists (so the plan matches what replicas will restore), the
-// loaded program's otherwise.
-func planGraph(snapPath, srcFile, goFile, bench string, scale float64) *pag.Graph {
-	if snapPath != "" {
-		if snap, err := snapshot.Load(snapPath); err == nil {
-			return snap.Graph
-		} else if !errors.Is(err, os.ErrNotExist) {
-			fail(err)
-		}
-	}
-	return load(srcFile, goFile, bench, scale).Graph
-}
-
-// shardSlice adapts a warm snapshot to shard mode: an unsharded snapshot is
-// sliced on the fly so the replica restores exactly its share of the jump
-// store and result cache; a pre-sliced one must already be this shard's.
-func shardSlice(snap *snapshot.Snapshot, p *cluster.Plan, idx, count int) *snapshot.Snapshot {
-	if snap.Meta.NumShards == 0 {
-		sliced, err := cluster.FilterSnapshot(snap, p, idx)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("parcfld: sliced unsharded snapshot down to shard %d/%d\n", idx, count)
-		return sliced
-	}
-	if snap.Meta.Shard != idx || snap.Meta.NumShards != count {
-		fail(fmt.Errorf("snapshot was saved as shard %d/%d, daemon started as %d/%d",
-			snap.Meta.Shard, snap.Meta.NumShards, idx, count))
-	}
-	if err := p.Matches(snap.Graph); err != nil {
-		fail(fmt.Errorf("plan does not match the snapshot graph: %w", err))
-	}
-	return snap
-}
-
 func storeEpoch(s *snapshot.Snapshot) int64 {
 	if s.Store == nil {
 		return 0
 	}
 	return s.Store.Epoch()
+}
+
+// writeFileAtomic writes data to path via a same-directory temp file and
+// rename, so a script polling -addr-file never observes a partial write.
+func writeFileAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return err
+	}
+	defer os.Remove(tmp.Name()) // no-op after a successful rename
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	return os.Rename(tmp.Name(), path)
 }

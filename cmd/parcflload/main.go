@@ -2,7 +2,6 @@
 //
 //	$ parcflload -addr localhost:7070 -rate 200 -duration 10s
 //	$ parcflload -addr localhost:7070 -rate 500 -duration 30s -json report.json
-//	$ parcflload -addr localhost:7070,localhost:7071 -rate 500 -duration 30s
 //
 // Arrivals are Poisson spaced at the target rate regardless of how the
 // daemon is keeping up — the open-loop shape that exposes queue growth,
@@ -31,7 +30,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"parcfl/internal/diag"
@@ -45,7 +43,7 @@ func fail(err error) {
 }
 
 func main() {
-	addr := flag.String("addr", "localhost:7070", "parcfld/parcflrouter address(es); comma-separated targets are load-balanced round-robin")
+	addr := flag.String("addr", "localhost:7070", "parcfld address (host:port or full URL)")
 	rate := flag.Float64("rate", 200, "target arrival rate in requests/second (Poisson spaced)")
 	duration := flag.Duration("duration", 10*time.Second, "how long arrivals keep coming")
 	inflight := flag.Int("inflight", 64, "max outstanding requests; arrivals beyond it are shed client-side")
@@ -57,46 +55,17 @@ func main() {
 	bundleOnFail := flag.String("bundle-on-fail", "", "when any request hard-fails, deadlines, sheds or overloads, trigger a diagnostic bundle on the daemon and save it into this directory")
 	flag.Parse()
 
-	// Multiple -addr targets (e.g. a set of interchangeable routers) are hit
-	// round-robin: request k goes to target k mod len(targets), so the load
-	// spreads evenly without any coordination.
-	var bases []string
-	for _, a := range strings.Split(*addr, ",") {
-		a = strings.TrimSpace(a)
-		if a == "" {
-			continue
-		}
-		if !strings.Contains(a, "://") {
-			a = "http://" + a
-		}
-		bases = append(bases, a)
+	base := *addr
+	if !strings.Contains(base, "://") {
+		base = "http://" + base
 	}
-	if len(bases) == 0 {
-		fail(fmt.Errorf("no target in -addr %q", *addr))
-	}
-	clients := make([]*server.Client, len(bases))
-	for i, b := range bases {
-		clients[i] = server.NewClient(b, nil)
-	}
-	base := bases[0]
-	var rr atomic.Int64
-	nextClient := func() *server.Client {
-		return clients[int((rr.Add(1)-1)%int64(len(clients)))]
-	}
+	cl := server.NewClient(base, nil)
 
 	vars := flag.Args()
 	if len(vars) == 0 {
-		// Any target can serve the census — they front the same program.
-		var fetched []string
-		var err error
-		for _, cl := range clients {
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			fetched, err = cl.Vars(ctx)
-			cancel()
-			if err == nil {
-				break
-			}
-		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		fetched, err := cl.Vars(ctx)
+		cancel()
 		if err != nil {
 			fail(fmt.Errorf("fetching query census: %w", err))
 		}
@@ -110,13 +79,13 @@ func main() {
 	}
 
 	fmt.Fprintf(os.Stderr, "parcflload: soaking %s at %.0f req/s for %s over %d variables\n",
-		strings.Join(bases, ","), *rate, *duration, len(vars))
+		base, *rate, *duration, len(vars))
 
 	rep := experiments.RunSoak(experiments.SoakOptions{
 		Rate: *rate, Duration: *duration, MaxInflight: *inflight,
 		Seed: *seed, Timeout: *timeout, Retry: *retry, RIDPrefix: "load",
 	}, len(vars), func(ctx context.Context, idx int, rid string) (server.Timings, error) {
-		reply, err := nextClient().QueryRequest(ctx, rid, []string{vars[idx]}, *timeout)
+		reply, err := cl.QueryRequest(ctx, rid, []string{vars[idx]}, *timeout)
 		if err != nil {
 			return server.Timings{}, err
 		}

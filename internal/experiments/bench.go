@@ -31,9 +31,6 @@ type BenchRun struct {
 	Bench   string `json:"bench"`
 	Mode    string `json:"mode"`
 	Threads int    `json:"threads"`
-	// Shards is the cluster width of a Serve-sharded-N row (0 for every
-	// single-process row).
-	Shards int `json:"shards,omitempty"`
 
 	WallNS int64 `json:"wall_ns"`
 
@@ -297,15 +294,6 @@ func BenchGrid(opts Options) (*BenchReport, error) {
 			return nil, err
 		}
 		rep.Runs = append(rep.Runs, serve...)
-		// Sharded serving rows: the census through a loopback cluster of 1,
-		// 2 and 4 plan-sliced replicas behind a router, so benchdiff gates
-		// the cluster path's throughput (and the N=1 row prices the router's
-		// own overhead against Serve-cold).
-		shardRows, err := ShardedRows(b, opts)
-		if err != nil {
-			return nil, err
-		}
-		rep.Runs = append(rep.Runs, shardRows...)
 		// Kernel rows: the sequential census with the preprocessed
 		// traversal kernel off and on, results asserted identical, so the
 		// trajectory records the layout's steps/sec and allocs/op win.

@@ -22,14 +22,12 @@ func TestBenchGridSmall(t *testing.T) {
 		t.Fatalf("schema = %q", rep.Schema)
 	}
 	// 4 modes + the DQ+cache row + the Serve-cold/Serve-warm/Serve-soak
-	// rows + the Serve-sharded cluster triple + the traversal-kernel
-	// off/on pair.
-	if len(rep.Runs) != 13 {
-		t.Fatalf("%d runs, want 13", len(rep.Runs))
+	// rows + the traversal-kernel off/on pair.
+	if len(rep.Runs) != 10 {
+		t.Fatalf("%d runs, want 10", len(rep.Runs))
 	}
 	wantModes := []string{"SeqCFL", "ParCFL-naive", "ParCFL-D", "ParCFL-DQ",
 		"ParCFL-DQ+cache", "Serve-cold", "Serve-warm", "Serve-soak",
-		"Serve-sharded-1", "Serve-sharded-2", "Serve-sharded-4",
 		"seq+kernel-off", "seq+kernel-on"}
 	queries := rep.Runs[0].Queries
 	for i, r := range rep.Runs {
@@ -39,7 +37,7 @@ func TestBenchGridSmall(t *testing.T) {
 		if r.Bench != "_200_check" || r.WallNS <= 0 || r.Queries == 0 {
 			t.Fatalf("run %d malformed: %+v", i, r)
 		}
-		serving := i >= 5 && i <= 10
+		serving := i >= 5 && i <= 7
 		if !serving && r.Queries != queries {
 			t.Fatalf("run %d: %d queries, Seq saw %d", i, r.Queries, queries)
 		}
@@ -79,15 +77,7 @@ func TestBenchGridSmall(t *testing.T) {
 	if c := rep.Runs[4]; c.CacheHits+c.CacheMisses == 0 {
 		t.Fatalf("cache row has no cache activity: %+v", c)
 	}
-	s1, s4 := rep.Runs[8], rep.Runs[10]
-	if s1.Shards != 1 || rep.Runs[9].Shards != 2 || s4.Shards != 4 {
-		t.Fatalf("sharded rows carry wrong shard counts: %+v", rep.Runs[8:11])
-	}
-	if s4.QPS <= s1.QPS {
-		t.Fatalf("4-shard cluster qps %.1f not above single-shard %.1f — admission scaling lost",
-			s4.QPS, s1.QPS)
-	}
-	koff, kon := rep.Runs[11], rep.Runs[12]
+	koff, kon := rep.Runs[8], rep.Runs[9]
 	if koff.TotalSteps != kon.TotalSteps {
 		t.Fatalf("kernel rows diverge: off %d steps, on %d", koff.TotalSteps, kon.TotalSteps)
 	}
@@ -160,7 +150,7 @@ func TestBenchWritesJSONFile(t *testing.T) {
 		t.Fatalf("artifact = schema %q, %d reports", h.Schema, len(h.Reports))
 	}
 	rep := h.Reports[0]
-	if rep.Schema != BenchSchema || len(rep.Runs) != 13 {
+	if rep.Schema != BenchSchema || len(rep.Runs) != 10 {
 		t.Fatalf("report = schema %q, %d runs", rep.Schema, len(rep.Runs))
 	}
 	if rep.Label != "first" || rep.GitRev != "abc1234" {

@@ -212,36 +212,6 @@ func (s *Sink) Hist(h HistID) HistSnapshot {
 	return out
 }
 
-// LocalHist is a standalone log-bucketed histogram with the same bucket
-// layout as the Sink's enumerated histograms, for callers that need labelled
-// per-instance series outside the HistID space — the cluster router keeps
-// one per shard for its `parcfl_cluster_shard_latency` rollup. Safe for
-// concurrent use; the zero value is ready.
-type LocalHist struct {
-	h hist
-}
-
-// Observe records one observation of value v (clamped at 0).
-func (l *LocalHist) Observe(v int64) {
-	if v < 0 {
-		v = 0
-	}
-	l.h.count.Add(1)
-	l.h.sum.Add(v)
-	if b := histBucket(v); b < NumHistBuckets {
-		l.h.buckets[b].Add(1)
-	}
-}
-
-// Snapshot reads the histogram's current state.
-func (l *LocalHist) Snapshot() HistSnapshot {
-	out := HistSnapshot{Count: l.h.count.Load(), Sum: l.h.sum.Load()}
-	for i := range out.Buckets {
-		out.Buckets[i] = l.h.buckets[i].Load()
-	}
-	return out
-}
-
 // Exemplars: each histogram bucket may retain the identity of the most
 // recent observation that landed in it — the request ID (and its server-side
 // sequence number) behind a latency sample — so a p99 bucket on /metrics

@@ -75,19 +75,6 @@ const (
 	CtrServerTimeouts
 	// CtrServerBatches counts coalesced engine.Run batches dispatched.
 	CtrServerBatches
-	// CtrServerMisdirected counts queries rejected in shard mode because
-	// the plan assigns their variable to another replica.
-	CtrServerMisdirected
-	// CtrClusterRequests counts query requests accepted by the cluster
-	// router (see internal/cluster/router).
-	CtrClusterRequests
-	// CtrClusterFanouts counts per-shard subrequests the router issued.
-	CtrClusterFanouts
-	// CtrClusterShardErrors counts per-shard subrequests that failed after
-	// retries.
-	CtrClusterShardErrors
-	// CtrClusterPartial counts router replies degraded to partial results.
-	CtrClusterPartial
 
 	// NumCounters is the number of defined counters.
 	NumCounters
@@ -102,9 +89,7 @@ var counterNames = [NumCounters]string{
 	"inc_edits_grow", "inc_edits_shrink", "inc_resolves",
 	"share_lookups", "share_hits",
 	"server_requests", "server_coalesced", "server_rejected",
-	"server_timeouts", "server_batches", "server_misdirected",
-	"cluster_requests", "cluster_fanouts", "cluster_shard_errors",
-	"cluster_partial",
+	"server_timeouts", "server_batches",
 }
 
 // String returns the counter's snake_case name.
@@ -148,14 +133,6 @@ const (
 	// GaugeServerInflight is the number of unique query variables currently
 	// being computed by dispatched server batches.
 	GaugeServerInflight
-	// GaugeClusterShards is the shard count of the router's plan.
-	GaugeClusterShards
-	// GaugeClusterShardsUp is the number of shards currently passing the
-	// router's health probe.
-	GaugeClusterShardsUp
-	// GaugeClusterFanoutWidth is the number of shards the last routed
-	// request fanned out to.
-	GaugeClusterFanoutWidth
 
 	// NumGauges is the number of defined gauges.
 	NumGauges
@@ -167,7 +144,6 @@ var gaugeNames = [NumGauges]string{
 	"share_finished_size", "share_unfinished_size", "share_high_water",
 	"ptcache_entries", "sched_components",
 	"server_queue_depth", "server_inflight",
-	"cluster_shards", "cluster_shards_up", "cluster_fanout_width",
 }
 
 // String returns the gauge's snake_case name.
@@ -256,7 +232,6 @@ type Sink struct {
 	slo        atomic.Pointer[SLO]
 	exemplars  atomic.Pointer[exemplarTable]
 	tracestore atomic.Pointer[traceStoreBox]
-	promExtra  atomic.Pointer[promExtraFn]
 }
 
 // New creates a sink.

@@ -41,11 +41,6 @@ var counterHelp = [NumCounters]string{
 	"Requests refused by admission control.",
 	"Requests whose deadline expired before their batch was answered.",
 	"Coalesced engine batches dispatched by the server.",
-	"Queries rejected in shard mode because another replica owns them.",
-	"Query requests accepted by the cluster router.",
-	"Per-shard subrequests issued by the router.",
-	"Per-shard subrequests that failed after retries.",
-	"Router replies degraded to partial results.",
 }
 
 var gaugeHelp = [NumGauges]string{
@@ -61,35 +56,11 @@ var gaugeHelp = [NumGauges]string{
 	"Direct-relation components touched by the last schedule.",
 	"Admitted server requests waiting to be dispatched.",
 	"Unique query variables in dispatched server batches.",
-	"Shard count of the router's plan.",
-	"Shards currently passing the router's health probe.",
-	"Shards the last routed request fanned out to.",
 }
 
 var timerHelp = [NumTimers]string{
 	"sched.Schedule plan construction.",
 	"Whole engine.Run batches.",
-}
-
-// promExtraFn appends caller-owned series to every exposition of a sink.
-type promExtraFn func(io.Writer)
-
-// SetPromExtra registers fn to run at the end of every /metrics exposition
-// of this sink, before the OpenMetrics `# EOF` terminator, so components
-// with labelled series outside the enumerated counter/gauge space (the
-// cluster router's per-shard rollup) can extend the scrape body without the
-// enum layer knowing about them. fn must write complete, well-formed
-// families (HELP/TYPE then samples). A nil fn detaches. Nil-safe.
-func (s *Sink) SetPromExtra(fn func(io.Writer)) {
-	if s == nil {
-		return
-	}
-	if fn == nil {
-		s.promExtra.Store(nil)
-		return
-	}
-	f := promExtraFn(fn)
-	s.promExtra.Store(&f)
 }
 
 // WriteProm writes the sink's state in the classic Prometheus text
@@ -306,9 +277,6 @@ func writeExposition(w io.Writer, s *Sink, om bool) error {
 			}
 			bw.printf("%s{%s=%q} %d\n", name, smp.LabelKey, smp.Label, smp.Value)
 		}
-	}
-	if fn := s.promExtra.Load(); fn != nil {
-		(*fn)(bw)
 	}
 	if om {
 		bw.printf("# EOF\n")

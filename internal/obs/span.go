@@ -62,10 +62,6 @@ const (
 	// whose computation this one rode; equals A when not coalesced),
 	// C = outcome class (0 = success, 1 = overload, 2 = deadline, 3 = error).
 	SpanServe
-	// SpanFanout: one per-shard subrequest issued by the cluster router,
-	// send to reply. A = routed request sequence number, B = shard index,
-	// C = outcome class (same classes as SpanServe).
-	SpanFanout
 
 	// SpJmpTake (instant): a finished jmp shortcut was taken. A = node,
 	// B = steps saved.
@@ -85,7 +81,7 @@ var spanNames = [NumSpanKinds]string{
 	"run", "worker", "unit", "query", "comp_pts", "comp_fls",
 	"schedule", "sched_group", "sched_order", "sched_balance",
 	"refine_pass", "inc_update",
-	"admit", "queue_wait", "batch_window", "serve", "fanout",
+	"admit", "queue_wait", "batch_window", "serve",
 	"jmp_take", "early_term", "jmp_insert",
 }
 

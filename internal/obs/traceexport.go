@@ -70,7 +70,6 @@ var spanArgNames = [NumSpanKinds][3]string{
 	SpanQueueWait:   {"req", "batch", ""},
 	SpanBatchWindow: {"batch", "vars", "pending_left"},
 	SpanServe:       {"req", "primary", "outcome"},
-	SpanFanout:      {"req", "shard", "outcome"},
 	SpJmpTake:       {"node", "steps_saved", ""},
 	SpEarlyTerm:     {"node", "required_budget", ""},
 	SpJmpInsert:     {"node", "cost", ""},
@@ -89,7 +88,7 @@ func spanTid(worker int32) int64 {
 // keeps the engine/worker layout.
 func spanLane(sp Span) (pid, tid int64, thread string) {
 	switch sp.Kind {
-	case SpanAdmit, SpanQueueWait, SpanServe, SpanFanout:
+	case SpanAdmit, SpanQueueWait, SpanServe:
 		return traceRequestsPid, sp.A, "req " + strconv.FormatInt(sp.A, 10)
 	case SpanBatchWindow:
 		return traceBatcherPid, 1, "batcher"

@@ -7,9 +7,8 @@ import (
 
 // W3C Trace Context (https://www.w3.org/TR/trace-context/) support: parcfl
 // speaks the `traceparent` header so its per-request traces compose with
-// external tracers — a future router→shard hop propagates one trace id end
-// to end, and an operator can join a parcfl request trace against whatever
-// the caller's own tracing backend recorded.
+// external tracers: an operator can join a parcfl request trace against
+// whatever the caller's own tracing backend recorded.
 //
 // Only version 00 is emitted; any well-formed future version is accepted
 // (per spec, an unknown version parses as 00 when the tail matches).

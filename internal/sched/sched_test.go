@@ -259,8 +259,8 @@ func TestComponentMap(t *testing.T) {
 }
 
 // TestComponentMapDeterministic: the partition must be identical across
-// repeated runs on the same graph — shard plans built from it at different
-// times (replica vs router vs rebuild) have to agree byte for byte.
+// repeated runs on the same graph — heat rollups keyed by it in different
+// runs have to agree byte for byte.
 func TestComponentMapDeterministic(t *testing.T) {
 	prg, err := javagen.Generate(javagen.Params{
 		Name: "comptest", Seed: 11, Containers: 3, CallDepth: 2,
@@ -332,7 +332,7 @@ func TestComponentMapPermutationStability(t *testing.T) {
 }
 
 // BenchmarkComponentMap measures the partition pass on a generated
-// benchmark graph — the cost a shard-plan build pays per invocation.
+// benchmark graph — the cost an autopsy heat rollup pays per invocation.
 func BenchmarkComponentMap(b *testing.B) {
 	prg, err := javagen.Generate(javagen.Params{
 		Name: "compbench", Seed: 13, Containers: 4, CallDepth: 3,

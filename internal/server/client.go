@@ -30,17 +30,6 @@ func (e *OverloadedError) Error() string { return e.msg }
 // Unwrap makes errors.Is(err, ErrOverloaded) hold.
 func (e *OverloadedError) Unwrap() error { return ErrOverloaded }
 
-// MisdirectedError reports a 421 from a shard-mode daemon: the queried
-// variable belongs to another replica. It carries the owning shard and the
-// plan's shard count so a routing caller can re-aim the request.
-type MisdirectedError struct {
-	// Shard owns the variable; Shards is the plan's total shard count.
-	Shard, Shards int
-	msg           string
-}
-
-func (e *MisdirectedError) Error() string { return e.msg }
-
 // RetryPolicy is the client's opt-in handling of overload rejections: a
 // bounded, jittered exponential back-off that honours the server's
 // Retry-After hint and never sleeps past the request context's deadline.
@@ -180,9 +169,6 @@ func (c *Client) doOnce(ctx context.Context, rid, traceparent, method, path stri
 			oe := &OverloadedError{msg: "server: " + msg}
 			oe.RetryAfter = parseRetryAfter(resp.Header.Get("Retry-After"), time.Now())
 			return oe
-		}
-		if resp.StatusCode == http.StatusMisdirectedRequest {
-			return &MisdirectedError{Shard: e.Shard, Shards: e.Shards, msg: "server: " + msg}
 		}
 		return fmt.Errorf("server: %s", msg)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"log"
 	"net/http"
 	"strconv"
@@ -26,6 +27,11 @@ const RequestIDHeader = "X-Parcfl-Request-Id"
 // back as names. The wire types live here and in the client package-side
 // functions below so cmd/parcflq and tests share one schema.
 
+// maxQueryBody caps a /v1/query body in bytes. A request within the default
+// 1024-variable queue depth needs a few tens of KiB, so the cap only ever
+// refuses bodies no admissible request could produce.
+const maxQueryBody = 1 << 20
+
 // QuerySpec is the body of POST /v1/query: one variable or a batch.
 type QuerySpec struct {
 	// Var queries a single variable; Vars a batch. Exactly one of the two
@@ -34,10 +40,6 @@ type QuerySpec struct {
 	Vars []string `json:"vars,omitempty"`
 	// TimeoutMS bounds the wait server-side (0 means the server default).
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// AllowPartial lets the cluster router answer with whatever shards are
-	// reachable (Partial/Missing set on the reply) instead of failing the
-	// whole request. A single daemon is all-or-nothing and ignores it.
-	AllowPartial bool `json:"allow_partial,omitempty"`
 }
 
 // VarResult is one variable's answer on the wire.
@@ -47,9 +49,6 @@ type VarResult struct {
 	Contexts int      `json:"contexts"`
 	Aborted  bool     `json:"aborted,omitempty"`
 	Steps    int      `json:"steps"`
-	// Failed marks a placeholder slot in a partial cluster reply: the
-	// owning shard was unreachable, so Objects is meaningless for this var.
-	Failed bool `json:"failed,omitempty"`
 	// Timings is the per-request phase breakdown (see server.Timings).
 	Timings *Timings `json:"timings,omitempty"`
 }
@@ -66,12 +65,6 @@ type QueryReply struct {
 	// version-00 value with the server's span id.
 	TraceID string      `json:"trace_id,omitempty"`
 	Results []VarResult `json:"results"`
-	// Partial marks a degraded cluster reply: the shards in Missing were
-	// unreachable and their slots in Results carry Failed placeholders.
-	// Never set by a single daemon.
-	Partial bool `json:"partial,omitempty"`
-	// Missing lists the variables the reply could not answer.
-	Missing []string `json:"missing,omitempty"`
 }
 
 // SnapshotSpec is the body of POST /v1/snapshot.
@@ -92,11 +85,6 @@ type VarsReply struct {
 
 type errorReply struct {
 	Error string `json:"error"`
-	// Shard/Shards report a 421 misdirect: the shard that owns the queried
-	// variable and the plan's total shard count. Shards > 0 marks the
-	// fields present (shard index 0 survives omitempty via that sentinel).
-	Shard  int `json:"shard,omitempty"`
-	Shards int `json:"shards,omitempty"`
 }
 
 // HandlerConfig wires the HTTP surface.
@@ -214,7 +202,13 @@ func (h *apiHandler) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var spec QuerySpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBody)).Decode(&spec); err != nil {
+		var mbe *http.MaxBytesError
+		if errors.As(err, &mbe) {
+			writeErr(w, http.StatusRequestEntityTooLarge,
+				fmt.Errorf("%w: body exceeds %d bytes", ErrTooLarge, mbe.Limit))
+			return
+		}
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
@@ -224,6 +218,14 @@ func (h *apiHandler) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(names) == 0 {
 		writeErr(w, http.StatusBadRequest, errors.New("no var(s) given"))
+		return
+	}
+	// Refuse before resolving: the queue depth bounds how many variables
+	// may wait at once, so it bounds one request's names too, and an
+	// oversized request costs no lookups.
+	if depth := h.srv.cfg.queueDepth(); len(names) > depth {
+		writeErr(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("%w: %d vars exceed the queue depth %d", ErrTooLarge, len(names), depth))
 		return
 	}
 	vars := make([]pag.NodeID, len(names))
@@ -258,19 +260,6 @@ func (h *apiHandler) handleQuery(w http.ResponseWriter, r *http.Request) {
 	ctx = WithTrace(ctx, tp.TraceID, tp.SpanID)
 	answers, err := h.srv.QueryBatchAnswers(ctx, vars)
 	if err != nil {
-		// A shard-mode replica disowning the variable is a typed redirect,
-		// not a failure: 421 with the owning shard in the body, so a router
-		// or a plan-aware client can re-aim.
-		var wse *WrongShardError
-		if errors.As(err, &wse) {
-			if rid != "" {
-				w.Header().Set(RequestIDHeader, rid)
-			}
-			h.srv.sink.SLO().Record(obs.ClassError, time.Since(start).Nanoseconds())
-			writeJSON(w, http.StatusMisdirectedRequest,
-				errorReply{Error: err.Error(), Shard: wse.Shard, Shards: wse.Of})
-			return
-		}
 		status := http.StatusInternalServerError
 		class := obs.ClassError
 		switch {

@@ -3,9 +3,13 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"log"
+	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -143,5 +147,66 @@ func TestInProcessRIDExemplar(t *testing.T) {
 		if e.RID != "soak-42-1" {
 			t.Fatalf("rid-less request minted exemplar %+v", e)
 		}
+	}
+}
+
+// postQuery sends a raw /v1/query body and decodes the error reply.
+func postQuery(t *testing.T, url string, body []byte) (int, errorReply) {
+	t.Helper()
+	resp, err := http.Post(url+"/v1/query", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e errorReply
+	_ = json.NewDecoder(resp.Body).Decode(&e)
+	return resp.StatusCode, e
+}
+
+// TestQueryBodyTooLarge: a body over the byte cap is refused with 413 and
+// the ErrTooLarge message, and the server admits nothing.
+func TestQueryBodyTooLarge(t *testing.T) {
+	lo := genBench(t)
+	srv := New(lo.Graph, Config{Threads: 1, TypeLevels: lo.TypeLevels, BatchWindow: -1})
+	defer srv.Close()
+	ts := httptest.NewServer(NewHandler(srv, HandlerConfig{}))
+	defer ts.Close()
+
+	body, _ := json.Marshal(QuerySpec{Var: strings.Repeat("v", maxQueryBody)})
+	status, e := postQuery(t, ts.URL, body)
+	if status != http.StatusRequestEntityTooLarge || !strings.HasPrefix(e.Error, ErrTooLarge.Error()) {
+		t.Fatalf("oversized body: status %d, error %q; want 413 %q", status, e.Error, ErrTooLarge)
+	}
+	if n := srv.Stats().Requests; n != 0 {
+		t.Fatalf("oversized body admitted %d requests", n)
+	}
+}
+
+// TestQueryTooManyVars: a request naming more variables than the queue
+// depth is refused with 413 before any name is resolved — the names here do
+// not exist, so a resolve-first handler would answer 404 instead.
+func TestQueryTooManyVars(t *testing.T) {
+	lo := genBench(t)
+	const depth = 4
+	srv := New(lo.Graph, Config{Threads: 1, TypeLevels: lo.TypeLevels, BatchWindow: -1, QueueDepth: depth})
+	defer srv.Close()
+	ts := httptest.NewServer(NewHandler(srv, HandlerConfig{}))
+	defer ts.Close()
+
+	names := make([]string, depth+1)
+	for i := range names {
+		names[i] = "no-such-var-" + strconv.Itoa(i)
+	}
+	body, _ := json.Marshal(QuerySpec{Vars: names})
+	status, e := postQuery(t, ts.URL, body)
+	if status != http.StatusRequestEntityTooLarge || !strings.HasPrefix(e.Error, ErrTooLarge.Error()) {
+		t.Fatalf("%d vars at depth %d: status %d, error %q; want 413 %q", len(names), depth, status, e.Error, ErrTooLarge)
+	}
+
+	// At the depth itself the request passes the size check and fails on
+	// the first unknown name instead.
+	body, _ = json.Marshal(QuerySpec{Vars: names[:depth]})
+	if status, e := postQuery(t, ts.URL, body); status != http.StatusNotFound {
+		t.Fatalf("%d vars at depth %d: status %d (%q), want 404", depth, depth, status, e.Error)
 	}
 }

@@ -54,26 +54,11 @@ var (
 	ErrOverloaded = errors.New("server: overloaded")
 	// ErrUnknownVar reports a query for a node the graph does not have.
 	ErrUnknownVar = errors.New("server: unknown variable")
+	// ErrTooLarge reports a /v1/query request refused before admission: a
+	// body over the byte cap, or more variable names than QueueDepth. The
+	// HTTP surface maps it to 413.
+	ErrTooLarge = errors.New("server: request too large")
 )
-
-// WrongShardError reports a query this replica resolved but does not own:
-// the shard plan assigns the variable's component to another shard. It is a
-// typed redirect, not a failure — the error names the owning shard so a
-// router (or a client following it) can re-aim without this replica paying
-// any solve cost. The HTTP surface maps it to 421 Misdirected Request.
-type WrongShardError struct {
-	// Node is the resolved query variable.
-	Node pag.NodeID
-	// Shard is the shard that owns it; Here is this replica's shard;
-	// Of is the plan's total shard count.
-	Shard, Here, Of int
-}
-
-func (e *WrongShardError) Error() string {
-	return "server: variable " + strconv.Itoa(int(e.Node)) + " belongs to shard " +
-		strconv.Itoa(e.Shard) + "/" + strconv.Itoa(e.Of) + " (this replica serves shard " +
-		strconv.Itoa(e.Here) + ")"
-}
 
 // Config tunes the resident service. The zero value serves: DQ mode,
 // GOMAXPROCS workers, paper-default thresholds, a 2ms batch window and a
@@ -110,17 +95,6 @@ type Config struct {
 	// Prep when the snapshot carries one (and is auto-enabled by it).
 	// Results are identical either way — the kernel only changes data layout.
 	Kernel bool
-	// ShardOf, when non-nil, puts the server in cluster shard mode: a query
-	// for a node whose ShardOf differs from ShardIndex is rejected at
-	// admission with a *WrongShardError naming the owner (the plan function
-	// comes from internal/cluster; the server only consults it). ShardIndex
-	// and ShardCount identify this replica within the plan; ShardPlan is the
-	// serialized plan document, embedded into snapshots this replica saves
-	// so a warm restart can verify it restores the slice it was given.
-	ShardOf    func(pag.NodeID) int
-	ShardIndex int
-	ShardCount int
-	ShardPlan  []byte
 	// Obs receives server and engine metrics (nil disables, as usual).
 	Obs *obs.Sink
 }
@@ -329,10 +303,6 @@ func newServer(g *pag.Graph, store *share.Store, cache *ptcache.Cache, prep *ker
 	meta.TypeLevels = cfg.TypeLevels
 	meta.Budget = cfg.Budget
 	meta.ContextK = cfg.ContextK
-	if cfg.ShardOf != nil {
-		meta.Shard = cfg.ShardIndex
-		meta.NumShards = cfg.ShardCount
-	}
 	if len(meta.QueryVars) == 0 {
 		meta.QueryVars = cfg.QueryVars
 	}
@@ -473,12 +443,6 @@ func (s *Server) offerTrace(ts *obs.TraceStore, ctx context.Context, v pag.NodeI
 func (s *Server) QueryRequest(ctx context.Context, v pag.NodeID) (Answer, error) {
 	if v < 0 || int(v) >= s.graph.NumNodes() {
 		return Answer{}, ErrUnknownVar
-	}
-	if s.cfg.ShardOf != nil {
-		if owner := s.cfg.ShardOf(v); owner != s.cfg.ShardIndex {
-			s.sink.Add(obs.CtrServerMisdirected, 1)
-			return Answer{}, &WrongShardError{Node: v, Shard: owner, Here: s.cfg.ShardIndex, Of: s.cfg.ShardCount}
-		}
 	}
 	seq := s.reqSeq.Add(1)
 	entered := time.Now()
@@ -768,7 +732,7 @@ func (s *Server) Snapshot(label string) *snapshot.Snapshot {
 	meta.Label = label
 	meta.CreatedUnixNano = time.Now().UnixNano()
 	return &snapshot.Snapshot{Graph: s.graph, Store: s.store, Cache: s.cache, Kernel: s.kernel,
-		ShardPlan: s.cfg.ShardPlan, Meta: meta}
+		Meta: meta}
 }
 
 // SaveSnapshot atomically persists the resident state to path.

@@ -63,12 +63,6 @@ type Meta struct {
 	// warmed under.
 	Budget   int
 	ContextK int
-	// Shard and NumShards identify which cluster slice this snapshot's warm
-	// state belongs to; 0/0 means an unsharded daemon. Added after Version 1
-	// shipped; gob decodes older envelopes to the zero values, so the format
-	// version is unchanged (strictly additive).
-	Shard     int
-	NumShards int
 }
 
 // Snapshot is the in-memory form: a frozen graph plus optional warm store,
@@ -81,12 +75,7 @@ type Snapshot struct {
 	// saved); persisting it lets a warm-started daemon skip the offline
 	// SCC/CSR build. Read verifies it matches the loaded graph.
 	Kernel *kernel.Prep
-	// ShardPlan is the serialized parcfl-shardplan/v1 document the store and
-	// cache were sliced under (nil for unsharded snapshots). Kept opaque here
-	// so this package does not depend on the cluster package; internal/cluster
-	// owns the format.
-	ShardPlan []byte
-	Meta      Meta
+	Meta   Meta
 }
 
 // Wire structs: contexts travel as Key() strings, which uniquely determine
@@ -132,10 +121,6 @@ type envelope struct {
 	// unchanged (strictly additive).
 	HasKernel bool
 	Kernel    []byte // kernel.WriteGob output
-
-	// ShardPlan (with Meta.Shard/NumShards) is likewise additive: absent in
-	// pre-cluster snapshots, decoded as nil.
-	ShardPlan []byte
 }
 
 func toWireNodeCtxs(in []pag.NodeCtx) []wireNodeCtx {
@@ -149,15 +134,32 @@ func toWireNodeCtxs(in []pag.NodeCtx) []wireNodeCtx {
 	return out
 }
 
-func fromWireNodeCtxs(in []wireNodeCtx) []pag.NodeCtx {
+// fromWireKey validates one decoded (node, context key) pair: the node must
+// exist in a graph of numNodes nodes and the key must be a whole number of
+// call sites, or pag.ContextFromKey would panic on it.
+func fromWireKey(node pag.NodeID, ctx string, numNodes pag.NodeID) (pag.Context, error) {
+	if node >= numNodes {
+		return pag.Context{}, fmt.Errorf("snapshot: entry references unknown node %d", node)
+	}
+	if len(ctx)%4 != 0 {
+		return pag.Context{}, fmt.Errorf("snapshot: malformed context key (%d bytes)", len(ctx))
+	}
+	return pag.ContextFromKey(ctx), nil
+}
+
+func fromWireNodeCtxs(in []wireNodeCtx, numNodes pag.NodeID) ([]pag.NodeCtx, error) {
 	if in == nil {
-		return nil
+		return nil, nil
 	}
 	out := make([]pag.NodeCtx, len(in))
 	for i, nc := range in {
-		out[i] = pag.NodeCtx{Node: nc.Node, Ctx: pag.ContextFromKey(nc.Ctx)}
+		ctx, err := fromWireKey(nc.Node, nc.Ctx, numNodes)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = pag.NodeCtx{Node: nc.Node, Ctx: ctx}
 	}
-	return out
+	return out, nil
 }
 
 // Write serialises the snapshot. The graph must be frozen. Store and cache
@@ -208,7 +210,6 @@ func Write(w io.Writer, s *Snapshot) error {
 		env.HasKernel = true
 		env.Kernel = kbuf.Bytes()
 	}
-	env.ShardPlan = s.ShardPlan
 	if _, err := io.WriteString(w, Magic); err != nil {
 		return fmt.Errorf("snapshot: writing header: %w", err)
 	}
@@ -246,17 +247,27 @@ func Read(r io.Reader) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Snapshot{Graph: g, Meta: env.Meta, ShardPlan: env.ShardPlan}
+	s := &Snapshot{Graph: g, Meta: env.Meta}
 	numNodes := pag.NodeID(g.NumNodes())
+	for _, v := range env.Meta.QueryVars {
+		if v >= numNodes {
+			return nil, fmt.Errorf("snapshot: query census references unknown node %d", v)
+		}
+	}
 	if env.HasStore {
 		entries := make([]share.Exported, len(env.StoreEntries))
 		for i, e := range env.StoreEntries {
-			if e.Node >= numNodes {
-				return nil, fmt.Errorf("snapshot: store entry references unknown node %d", e.Node)
+			ctx, err := fromWireKey(e.Node, e.Ctx, numNodes)
+			if err != nil {
+				return nil, err
+			}
+			targets, err := fromWireNodeCtxs(e.Targets, numNodes)
+			if err != nil {
+				return nil, err
 			}
 			entries[i] = share.Exported{
-				Key:        share.Key{Dir: share.Direction(e.Dir), Node: e.Node, Ctx: pag.ContextFromKey(e.Ctx)},
-				Unfinished: e.Unfinished, S: e.S, Targets: fromWireNodeCtxs(e.Targets),
+				Key:        share.Key{Dir: share.Direction(e.Dir), Node: e.Node, Ctx: ctx},
+				Unfinished: e.Unfinished, S: e.S, Targets: targets,
 			}
 		}
 		s.Store = share.NewStore(env.StoreCfg)
@@ -275,12 +286,17 @@ func Read(r io.Reader) (*Snapshot, error) {
 	if env.HasCache {
 		entries := make([]ptcache.Exported, len(env.CacheEntries))
 		for i, e := range env.CacheEntries {
-			if e.Node >= numNodes {
-				return nil, fmt.Errorf("snapshot: cache entry references unknown node %d", e.Node)
+			ctx, err := fromWireKey(e.Node, e.Ctx, numNodes)
+			if err != nil {
+				return nil, err
+			}
+			set, err := fromWireNodeCtxs(e.Set, numNodes)
+			if err != nil {
+				return nil, err
 			}
 			entries[i] = ptcache.Exported{
-				Key: ptcache.Key{Dir: ptcache.Direction(e.Dir), Node: e.Node, Ctx: pag.ContextFromKey(e.Ctx)},
-				Set: fromWireNodeCtxs(e.Set),
+				Key: ptcache.Key{Dir: ptcache.Direction(e.Dir), Node: e.Node, Ctx: ctx},
+				Set: set,
 			}
 		}
 		s.Cache = ptcache.New(64)
