@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check build vet test race bench-module bench-json serve-smoke soak-smoke clean
+.PHONY: check build vet test race bench-module bench-json serve-smoke soak-smoke fuzz-smoke clean
 
 check: build vet test race bench-module
 
@@ -19,10 +19,8 @@ test:
 
 # The packages whose correctness depends on lock-free/striped-lock
 # discipline; everything else is single-threaded or covered transitively.
-# internal/kernel rides along because its Prep is shared read-only across
-# worker goroutines — the race detector proves no traversal mutates it.
 race:
-	$(GO) test -race ./internal/concurrent ./internal/share ./internal/engine ./internal/server ./internal/kernel
+	$(GO) test -race ./internal/concurrent ./internal/share ./internal/engine ./internal/server
 
 # The benchmark harness (perfbench/) is a separate module outside ./..., so
 # the targets above never compile it; vet and self-test it here so a change
@@ -46,6 +44,19 @@ serve-smoke:
 # injected-overload phase that fires and validates a diagnostic bundle.
 soak-smoke:
 	bash scripts/soak_smoke.sh $(SMOKE_WORK)
+
+# Run every Go-native fuzz target (each decoder of untrusted bytes has one)
+# for FUZZTIME. Targets are found by name, so a new Fuzz* function is picked
+# up without editing this list. A crasher is written to the package's
+# testdata/fuzz/<Target>/ and replays in plain `go test` from then on.
+FUZZTIME ?= 10s
+fuzz-smoke:
+	@set -e; grep -r --include='*_test.go' --exclude-dir=perfbench -o '^func Fuzz[A-Za-z0-9_]*' . | \
+	while IFS=: read -r file fn; do \
+		target=$${fn#func }; \
+		echo "== $$target ($$(dirname $$file))"; \
+		$(GO) test "$$(dirname $$file)" -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) -parallel 2; \
+	done
 
 clean:
 	$(GO) clean ./...

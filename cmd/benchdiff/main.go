@@ -21,7 +21,7 @@
 // and let the deterministic counters carry the comparison.
 //
 // Cells present only in head (a benchmark or mode added since the baseline
-// was recorded, e.g. a kernel-on row) are listed as "new in head (ungated)"
+// was recorded) are listed as "new in head (ungated)"
 // and never fail the gate; they start being gated once a baseline containing
 // them is recorded.
 package main

@@ -41,7 +41,6 @@ func main() {
 	bench := flag.String("bench", "", "benchmark preset name")
 	scale := flag.Float64("scale", 0.005, "generation scale for -bench")
 	budget := flag.Int("budget", 75000, "per-query step budget")
-	kern := flag.Bool("kernel", false, "traverse the preprocessed dense graph form (identical answers, faster hot loop)")
 	debugAddr := flag.String("debug-addr", "", "serve /debug/vars, /debug/pprof, /debug/obs, /debug/timeseries and /metrics on this address (e.g. localhost:6060)")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON file of the session on exit (load in ui.perfetto.dev or chrome://tracing)")
 	sample := flag.Duration("sample", 0, "flight-recorder sampling interval, e.g. 50ms (0 = off; toggle later with the `record` command)")
@@ -84,9 +83,6 @@ func main() {
 	}
 
 	sh := repl.New(lo, *budget, os.Stdout)
-	if *kern {
-		sh.UseKernel()
-	}
 	var sink *obs.Sink
 	var rec *obs.Recorder
 	var srv *http.Server

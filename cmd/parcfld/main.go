@@ -73,7 +73,6 @@ func main() {
 	budget := flag.Int("budget", 75000, "per-query step budget (0 = unbounded)")
 	contextK := flag.Int("context-k", 0, "k-limit for call strings (0 = unlimited)")
 	cache := flag.Bool("cache", true, "memoise whole result sets across queries (ptcache)")
-	kern := flag.Bool("kernel", false, "traverse the preprocessed dense graph form (identical answers, faster hot loop); auto-enabled by a snapshot that carries one")
 	queue := flag.Int("queue", 0, "admission queue depth in distinct variables (0 = 1024)")
 	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "how long to wait for concurrent queries to coalesce into one batch")
 	batchMax := flag.Int("batch-max", 0, "max distinct variables per engine batch (0 = 256)")
@@ -144,7 +143,7 @@ func main() {
 	cfg := server.Config{
 		Mode: m, Threads: *threads, Budget: *budget, ContextK: *contextK,
 		ResultCache: *cache, BatchWindow: *batchWindow, MaxBatch: *batchMax,
-		QueueDepth: *queue, Kernel: *kern, Obs: sink,
+		QueueDepth: *queue, Obs: sink,
 	}
 
 	// Warm start beats cold load: an existing snapshot carries the graph

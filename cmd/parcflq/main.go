@@ -3,7 +3,7 @@
 //	$ parcflq -addr localhost:7070 main.s1 main.s2   # query (batched)
 //	$ parcflq -addr localhost:7070 -list 10          # show queryable vars
 //	$ parcflq -addr localhost:7070 -stats            # service stats
-//	$ parcflq -addr localhost:7070 -save warm.pag    # trigger a snapshot
+//	$ parcflq -addr localhost:7070 -save             # snapshot to the daemon's -snapshot path
 //
 // With -json, query results print as the daemon's wire JSON (one reply
 // object), which is what scripts should parse.
@@ -44,7 +44,7 @@ func main() {
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request deadline")
 	stats := flag.Bool("stats", false, "print service stats and exit")
 	list := flag.Int("list", 0, "list up to N queryable variables and exit (0 = off, negative = all)")
-	save := flag.String("save", "", "trigger a snapshot save (empty string with -save= uses the daemon's configured path)")
+	save := flag.Bool("save", false, "make the daemon save a snapshot to its configured -snapshot path")
 	asJSON := flag.Bool("json", false, "print raw JSON instead of the human format")
 	retries := flag.Int("retries", 0, "retry overloaded (429) responses up to N extra times with jittered backoff")
 	verbose := flag.Bool("v", false, "print the request ID, trace ID and per-phase timing breakdown with each answer")
@@ -62,9 +62,6 @@ func main() {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout+5*time.Second)
 	defer cancel()
-
-	saveSet := false
-	flag.Visit(func(f *flag.Flag) { saveSet = saveSet || f.Name == "save" })
 
 	switch {
 	case *stats:
@@ -108,8 +105,8 @@ func main() {
 		}
 		return
 
-	case saveSet:
-		path, err := cl.SaveSnapshot(ctx, *save)
+	case *save:
+		path, err := cl.SaveSnapshot(ctx)
 		if err != nil {
 			fail(err)
 		}

@@ -29,7 +29,6 @@ import (
 	"parcfl/internal/engine"
 	"parcfl/internal/frontend"
 	"parcfl/internal/javagen"
-	"parcfl/internal/kernel"
 	"parcfl/internal/mjlang"
 	"parcfl/internal/obs"
 	"parcfl/internal/pag"
@@ -43,7 +42,6 @@ func main() {
 	mode := flag.String("mode", "dq", "execution strategy: seq | naive | d | dq")
 	threads := flag.Int("threads", 16, "worker count")
 	budget := flag.Int("budget", 75000, "per-query step budget (0 = unbounded)")
-	kern := flag.Bool("kernel", false, "traverse the preprocessed dense graph form (identical answers, faster hot loop)")
 	top := flag.Int("top", 0, "print the N queries with the largest points-to sets")
 	debugAddr := flag.String("debug-addr", "", "serve /debug/vars, /debug/pprof, /debug/obs, /debug/timeseries and /metrics on this address (e.g. localhost:6060)")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON file of the run (load in ui.perfetto.dev or chrome://tracing)")
@@ -180,13 +178,9 @@ func main() {
 		sink.AttachHeat(col)
 	}
 
-	var prep *kernel.Prep
-	if *kern {
-		prep = kernel.Build(g)
-	}
 	res, st := engine.Run(g, queries, engine.Config{
 		Mode: m, Threads: *threads, Budget: *budget, TypeLevels: levels, Obs: sink,
-		Heat: col, Kernel: prep,
+		Heat: col,
 	})
 	if *heatOut != "" {
 		if err := writeJSON(*heatOut, col.Heat()); err != nil {

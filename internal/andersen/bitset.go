@@ -3,8 +3,7 @@ package andersen
 import "parcfl/internal/bitset"
 
 // Bitset is the dense points-to set representation of the Andersen solver;
-// the implementation lives in internal/bitset, shared with the kernel
-// traversal mode.
+// the implementation lives in internal/bitset.
 type Bitset = bitset.Bitset
 
 // BitsetFromWords re-exports bitset.BitsetFromWords.

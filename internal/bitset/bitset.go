@@ -1,15 +1,13 @@
-// Package bitset provides the dense growable bitset shared by the Andersen
-// solver and the kernel traversal mode.
+// Package bitset provides the dense growable bitset of the Andersen solver.
 package bitset
 
 import "math/bits"
 
-// Bitset is a growable dense bitset over small int indexes. It started as
-// the points-to set representation of the Andersen solver (which aliases it)
-// and is also the visited/context-set primitive of the kernel traversal mode
-// (see internal/kernel): the zero value is an empty set, Set grows the
-// backing array on demand, and Has beyond the allocated range is simply
-// false, so a set only ever pays for the index range it actually touches.
+// Bitset is a growable dense bitset over small int indexes: the points-to
+// set representation of the Andersen solver (which aliases it). The zero
+// value is an empty set, Set grows the backing array on demand, and Has
+// beyond the allocated range is simply false, so a set only ever pays for
+// the index range it actually touches.
 type Bitset struct {
 	words []uint64
 }

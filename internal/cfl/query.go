@@ -1,8 +1,6 @@
 package cfl
 
 import (
-	"parcfl/internal/bitset"
-	"parcfl/internal/kernel"
 	"parcfl/internal/obs"
 	"parcfl/internal/pag"
 	"parcfl/internal/ptcache"
@@ -65,23 +63,6 @@ type comp struct {
 	// rescans do not charge twice (allocated on first charge).
 	charged map[share.Key]struct{}
 
-	// kern switches the three membership structures above (set, visited,
-	// stepped) from NodeCtx-keyed maps to per-context bitsets over
-	// query-local slot indexes (see query.kidx). root holds the bit-plane
-	// triple of the first context this computation touches — most
-	// computations only ever see a handful — and others carries the rest
-	// (linear-scanned; context fan-out per computation is small);
-	// lastCtx/last cache the previous lookup. order/vlist/charged and the
-	// witness tables are unchanged: the traversal is identical, only set
-	// membership is dense.
-	kern    bool
-	rootOK  bool
-	rootCtx pag.Context
-	root    kctx
-	others  []ctxPlane
-	lastCtx pag.Context
-	last    *kctx
-
 	// parent and objSrc are witness-recording tables (allocated only when
 	// the query runs with witnesses enabled): parent maps each traversal
 	// item to its first discovered predecessor and the edge label taken;
@@ -91,120 +72,8 @@ type comp struct {
 	objSrc map[pag.NodeCtx]pag.NodeCtx
 }
 
-// kctx is the kernel-mode membership plane for one context: the same three
-// sets comp keeps as maps, as bitsets over query-local slot indexes.
-type kctx struct {
-	set, visited, stepped kernel.Bitset
-}
-
-// ctxPlane pairs a non-root context with its bit-plane triple.
-type ctxPlane struct {
-	ctx pag.Context
-	k   *kctx
-}
-
-// kidx interns node n into the current query's slot space: the first touch
-// of a node assigns the next sequential index, so the bit planes below span
-// only the nodes this query actually visits, in first-touch order — not the
-// whole graph. The tables live on the Solver (sized once, to the node
-// count) and are invalidated wholesale between queries by bumping the
-// generation stamp.
-func (q *query) kidx(n pag.NodeID) int {
-	s := q.s
-	if s.kgen[n] != s.kq {
-		s.kgen[n] = s.kq
-		s.kslot[n] = s.knext
-		s.knext++
-	}
-	return int(s.kslot[n])
-}
-
-// newComp hands out a zeroed comp from the query's bump pool.
-func (q *query) newComp() *comp {
-	if len(q.compPool) == 0 {
-		q.compPool = make([]comp, 64)
-	}
-	c := &q.compPool[0]
-	q.compPool = q.compPool[1:]
-	return c
-}
-
-// allocKctx hands out a kctx from the query's bump pool (one real
-// allocation per chunk of 128; pointers into the chunk keep it alive).
-func (q *query) allocKctx() *kctx {
-	if len(q.kctxPool) == 0 {
-		q.kctxPool = make([]kctx, 128)
-	}
-	k := &q.kctxPool[0]
-	q.kctxPool = q.kctxPool[1:]
-	return k
-}
-
-// newPlanes backs a fresh bit-plane triple with words carved from the
-// query's slab pool, each plane pre-sized to the query's current slot count
-// — a computation created mid-query immediately holds planes wide enough
-// for every slot interned so far, so regrowth is rare, and thousands of
-// plane allocations collapse into a few pool refills. A plane that does
-// outgrow its carved capacity reallocates independently (the carve is
-// capacity-limited), never clobbering its slab neighbours.
-func (q *query) newPlanes(k *kctx) {
-	w := int(q.s.knext)>>6 + 1
-	if len(q.slabPool) < 3*w {
-		n := 4096
-		if 3*w > n {
-			n = 3 * w
-		}
-		q.slabPool = make([]uint64, n)
-	}
-	slab := q.slabPool[:3*w]
-	q.slabPool = q.slabPool[3*w:]
-	k.set = bitset.FromWords(slab[0:w:w])
-	k.visited = bitset.FromWords(slab[w : 2*w : 2*w])
-	k.stepped = bitset.FromWords(slab[2*w : 3*w : 3*w])
-}
-
-// bits returns c's kernel-mode bit-plane for ctx, creating it on first use.
-// The first context is stored inline and the rest are linear-scanned — a
-// map would cost an allocation and a string hash per lookup for fan-outs
-// that are nearly always in the single digits.
-func (q *query) bits(c *comp, ctx pag.Context) *kctx {
-	if c.last != nil && c.lastCtx == ctx {
-		return c.last
-	}
-	var k *kctx
-	switch {
-	case !c.rootOK:
-		c.rootOK, c.rootCtx = true, ctx
-		k = &c.root
-		q.newPlanes(k)
-	case c.rootCtx == ctx:
-		k = &c.root
-	default:
-		for _, p := range c.others {
-			if p.ctx == ctx {
-				k = p.k
-				break
-			}
-		}
-		if k == nil {
-			k = q.allocKctx()
-			q.newPlanes(k)
-			c.others = append(c.others, ctxPlane{ctx: ctx, k: k})
-		}
-	}
-	c.lastCtx, c.last = ctx, k
-	return k
-}
-
-// addResult adds nc to c's result set, reporting whether it was new.
-func (q *query) addResult(c *comp, nc pag.NodeCtx) bool {
-	if c.kern {
-		if !q.bits(c, nc.Ctx).set.Set(q.kidx(nc.Node)) {
-			return false
-		}
-		c.order = append(c.order, nc)
-		return true
-	}
+// add adds nc to c's result set, reporting whether it was new.
+func (c *comp) add(nc pag.NodeCtx) bool {
 	if _, ok := c.set[nc]; ok {
 		return false
 	}
@@ -213,41 +82,13 @@ func (q *query) addResult(c *comp, nc pag.NodeCtx) bool {
 	return true
 }
 
-// pushItem enqueues nc on c's frontier unless already visited.
-func (q *query) pushItem(c *comp, nc pag.NodeCtx) {
-	if c.kern {
-		if q.bits(c, nc.Ctx).visited.Set(q.kidx(nc.Node)) {
-			c.vlist = append(c.vlist, nc)
-		}
-		return
-	}
+// push enqueues nc on c's frontier unless already visited.
+func (c *comp) push(nc pag.NodeCtx) {
 	if _, ok := c.visited[nc]; ok {
 		return
 	}
 	c.visited[nc] = struct{}{}
 	c.vlist = append(c.vlist, nc)
-}
-
-// seenItem reports whether nc has ever been enqueued on c's frontier.
-func (q *query) seenItem(c *comp, nc pag.NodeCtx) bool {
-	if c.kern {
-		return q.bits(c, nc.Ctx).visited.Has(q.kidx(nc.Node))
-	}
-	_, ok := c.visited[nc]
-	return ok
-}
-
-// firstScan marks nc's first full scan (budget step + direct-edge
-// expansion), reporting whether this call was that first scan.
-func (q *query) firstScan(c *comp, nc pag.NodeCtx) bool {
-	if c.kern {
-		return q.bits(c, nc.Ctx).stepped.Set(q.kidx(nc.Node))
-	}
-	if _, done := c.stepped[nc]; done {
-		return false
-	}
-	c.stepped[nc] = struct{}{}
-	return true
 }
 
 // frame is an in-progress alias expansion, the query-local S of
@@ -293,11 +134,6 @@ type query struct {
 	recording bool
 	// wit enables witness recording (see Explain).
 	wit bool
-	// kctxPool/slabPool/compPool are kernel-mode bump pools (see
-	// allocKctx/newPlanes/newComp); nil and unused in map mode.
-	kctxPool []kctx
-	slabPool []uint64
-	compPool []comp
 	// prof accumulates budget attribution (nil unless Config.Profile);
 	// every hook site guards on the pointer so the off path costs one
 	// comparison.
@@ -314,12 +150,6 @@ func newQuery(s *Solver) *query {
 	}
 	if s.cfg.Profile {
 		q.prof = newQueryProf()
-	}
-	if s.cfg.Kernel != nil {
-		// New query generation: every slot assignment of the previous
-		// query is invalidated by the stamp bump, no clearing needed.
-		s.kq++
-		s.knext = 0
 	}
 	return q
 }
@@ -356,27 +186,19 @@ func (q *query) run(k compKey) *comp {
 			return c
 		}
 	}
-	var c *comp
-	if q.s.cfg.Kernel != nil {
-		c = q.newComp()
-		c.key = k
-		c.state = compRunning
-		c.kern = true
-	} else {
-		c = &comp{
-			key:     k,
-			state:   compRunning,
-			set:     make(map[pag.NodeCtx]struct{}),
-			visited: make(map[pag.NodeCtx]struct{}),
-			stepped: make(map[pag.NodeCtx]struct{}),
-		}
+	c := &comp{
+		key:     k,
+		state:   compRunning,
+		set:     make(map[pag.NodeCtx]struct{}),
+		visited: make(map[pag.NodeCtx]struct{}),
+		stepped: make(map[pag.NodeCtx]struct{}),
 	}
 	if q.wit {
 		c.parent = make(map[pag.NodeCtx]parentInfo)
 		c.objSrc = make(map[pag.NodeCtx]pag.NodeCtx)
 	}
 	q.comps[k] = c
-	q.pushItem(c, pag.NodeCtx{Node: k.node, Ctx: k.ctx})
+	c.push(pag.NodeCtx{Node: k.node, Ctx: k.ctx})
 	q.eval(c)
 	c.state = compDone
 	return c
@@ -415,7 +237,7 @@ func (q *query) depend(dep, consumer *comp) {
 
 // grow adds nc to c's result set, dirtying dependents on growth.
 func (q *query) grow(c *comp, nc pag.NodeCtx) {
-	if !q.addResult(c, nc) {
+	if !c.add(nc) {
 		return
 	}
 	for d := range c.dependents {
@@ -427,46 +249,11 @@ func (q *query) grow(c *comp, nc pag.NodeCtx) {
 // described by label, recording provenance when witnesses are enabled.
 func (q *query) pushEdge(c *comp, nc, from pag.NodeCtx, label string) {
 	if q.wit {
-		if !q.seenItem(c, nc) {
+		if _, seen := c.visited[nc]; !seen {
 			c.parent[nc] = parentInfo{from: from, label: label}
 		}
 	}
-	q.pushItem(c, nc)
-}
-
-// pushEdgeK is pushEdgeHE for a push that stays on an already-resolved
-// kernel plane k (the pushed item's context equals the plane's context):
-// the membership test hits k's bitsets directly instead of re-resolving the
-// plane through bits. Callers in map mode pass k == nil and fall through to
-// the generic path.
-func (q *query) pushEdgeK(c *comp, k *kctx, nc, from pag.NodeCtx, he pag.HalfEdge) {
-	if k == nil {
-		q.pushEdgeHE(c, nc, from, he)
-		return
-	}
-	i := q.kidx(nc.Node)
-	if q.wit && !k.visited.Has(i) {
-		c.parent[nc] = parentInfo{from: from, label: edgeLabel(he.Kind, he.Label)}
-	}
-	if k.visited.Set(i) {
-		c.vlist = append(c.vlist, nc)
-	}
-}
-
-// growK is grow for a result that stays on an already-resolved kernel
-// plane k; see pushEdgeK.
-func (q *query) growK(c *comp, k *kctx, nc pag.NodeCtx) {
-	if k == nil {
-		q.grow(c, nc)
-		return
-	}
-	if !k.set.Set(q.kidx(nc.Node)) {
-		return
-	}
-	c.order = append(c.order, nc)
-	for d := range c.dependents {
-		q.markDirty(d)
-	}
+	c.push(nc)
 }
 
 // pushEdgeHE is pushEdge for a PAG half-edge: the label string is rendered
@@ -474,11 +261,11 @@ func (q *query) growK(c *comp, k *kctx, nc pag.NodeCtx) {
 // a double-digit share of solver CPU on witness-less batch runs.
 func (q *query) pushEdgeHE(c *comp, nc, from pag.NodeCtx, he pag.HalfEdge) {
 	if q.wit {
-		if !q.seenItem(c, nc) {
+		if _, seen := c.visited[nc]; !seen {
 			c.parent[nc] = parentInfo{from: from, label: edgeLabel(he.Kind, he.Label)}
 		}
 	}
-	q.pushItem(c, nc)
+	c.push(nc)
 }
 
 // markDirty queues c for re-evaluation. A computation that is still running
@@ -572,16 +359,9 @@ func (q *query) eval(c *comp) {
 			p.nodes[it.Node]++
 		}
 		q.step()
-		if c.kern {
-			// Resolve the plane for it.Ctx once: expandDirect's pushes that
-			// keep the item's context reuse it, skipping the context compare
-			// in bits (the dominant cost of the kernel hot loop otherwise).
-			k := q.bits(c, it.Ctx)
-			if k.stepped.Set(q.kidx(it.Node)) {
-				q.expandDirect(c, k, it)
-			}
-		} else if q.firstScan(c, it) {
-			q.expandDirect(c, nil, it)
+		if _, done := c.stepped[it]; !done {
+			c.stepped[it] = struct{}{}
+			q.expandDirect(c, it)
 		}
 		for _, r := range q.reachable(c, it) {
 			q.pushEdge(c, r, it, "heap")
@@ -589,62 +369,13 @@ func (q *query) eval(c *comp) {
 	}
 }
 
-// Edge-slice selection: in kernel mode the loops below walk the Prep's
-// filtered CSR rows instead of the graph's mixed-kind adjacency lists. The
-// kernel rows preserve per-node edge order and only drop edges the loop
-// bodies skip anyway (their kind filters stay in place, passing trivially),
-// so both modes traverse identically.
-
-func (q *query) dirIn(n pag.NodeID) []pag.HalfEdge {
-	if k := q.s.cfg.Kernel; k != nil {
-		return k.DirIn(n)
-	}
-	return q.g.In(n)
-}
-
-func (q *query) dirOut(n pag.NodeID) []pag.HalfEdge {
-	if k := q.s.cfg.Kernel; k != nil {
-		return k.DirOut(n)
-	}
-	return q.g.Out(n)
-}
-
-func (q *query) loadsIn(n pag.NodeID) []pag.HalfEdge {
-	if k := q.s.cfg.Kernel; k != nil {
-		return k.LoadIn(n)
-	}
-	return q.g.In(n)
-}
-
-func (q *query) storesOut(n pag.NodeID) []pag.HalfEdge {
-	if k := q.s.cfg.Kernel; k != nil {
-		return k.StoreOut(n)
-	}
-	return q.g.Out(n)
-}
-
-func (q *query) storesIn(n pag.NodeID) []pag.HalfEdge {
-	if k := q.s.cfg.Kernel; k != nil {
-		return k.StoreIn(n)
-	}
-	return q.g.In(n)
-}
-
-func (q *query) loadsOut(n pag.NodeID) []pag.HalfEdge {
-	if k := q.s.cfg.Kernel; k != nil {
-		return k.LoadOut(n)
-	}
-	return q.g.Out(n)
-}
-
 // expandDirect traverses the new/assign/param/ret edges at item it,
 // implementing lines 7–15 of Algorithm 1 (backward) and their mirror image
-// (forward). In kernel mode the caller passes it.Ctx's resolved plane k
-// (nil in map mode): pushes that keep the item's context use it directly.
-func (q *query) expandDirect(c *comp, k *kctx, it pag.NodeCtx) {
+// (forward).
+func (q *query) expandDirect(c *comp, it pag.NodeCtx) {
 	switch c.key.kind {
 	case kindPts:
-		for _, he := range q.dirIn(it.Node) {
+		for _, he := range q.g.In(it.Node) {
 			switch he.Kind {
 			case pag.EdgeNew:
 				// x <-new- o: o (under the current context) is in
@@ -655,9 +386,9 @@ func (q *query) expandDirect(c *comp, k *kctx, it pag.NodeCtx) {
 						c.objSrc[fact] = it
 					}
 				}
-				q.growK(c, k, fact)
+				q.grow(c, fact)
 			case pag.EdgeAssignLocal:
-				q.pushEdgeK(c, k, pag.NodeCtx{Node: he.Other, Ctx: it.Ctx}, it, he)
+				q.pushEdgeHE(c, pag.NodeCtx{Node: he.Other, Ctx: it.Ctx}, it, he)
 			case pag.EdgeAssignGlobal:
 				// Globals are context-insensitive: clear the context.
 				q.pushEdgeHE(c, pag.NodeCtx{Node: he.Other, Ctx: pag.EmptyContext}, it, he)
@@ -681,18 +412,18 @@ func (q *query) expandDirect(c *comp, k *kctx, it pag.NodeCtx) {
 		if q.g.Node(it.Node).Kind.IsVariable() {
 			// Every variable reached forward is an element of the
 			// flowsTo set.
-			q.growK(c, k, it)
+			q.grow(c, it)
 		}
 		// All forward pushes go through pushEdge so parent provenance is
 		// recorded for witness queries, exactly as in the backward branch
 		// (Explain/ExplainFlows reconstruct paths from it).
-		for _, he := range q.dirOut(it.Node) {
+		for _, he := range q.g.Out(it.Node) {
 			switch he.Kind {
 			case pag.EdgeNew:
 				// o -new-> l: the object starts flowing at l.
-				q.pushEdgeK(c, k, pag.NodeCtx{Node: he.Other, Ctx: it.Ctx}, it, he)
+				q.pushEdgeHE(c, pag.NodeCtx{Node: he.Other, Ctx: it.Ctx}, it, he)
 			case pag.EdgeAssignLocal:
-				q.pushEdgeK(c, k, pag.NodeCtx{Node: he.Other, Ctx: it.Ctx}, it, he)
+				q.pushEdgeHE(c, pag.NodeCtx{Node: he.Other, Ctx: it.Ctx}, it, he)
 			case pag.EdgeAssignGlobal:
 				q.pushEdgeHE(c, pag.NodeCtx{Node: he.Other, Ctx: pag.EmptyContext}, it, he)
 			case pag.EdgeParam:

@@ -91,12 +91,6 @@ func (q *query) reachable(owner *comp, it pag.NodeCtx) []pag.NodeCtx {
 // store forward), so reachable can skip the sharing machinery on the vast
 // majority of nodes.
 func (q *query) hasHeapEdges(kind compKind, n pag.NodeID) bool {
-	if k := q.s.cfg.Kernel; k != nil {
-		if kind == kindPts {
-			return k.HasLoadIn(n)
-		}
-		return k.HasStoreOut(n)
-	}
 	if kind == kindPts {
 		for _, he := range q.g.In(n) {
 			if he.Kind == pag.EdgeLoad {
@@ -122,7 +116,7 @@ func (q *query) expandHeap(kind compKind, owner *comp, it pag.NodeCtx) []pag.Nod
 	case kindPts:
 		// it.Node is x with loads x = p.f: anything stored into field f
 		// of an object p points to is reachable.
-		for _, he := range q.loadsIn(it.Node) {
+		for _, he := range q.g.In(it.Node) {
 			if he.Kind != pag.EdgeLoad {
 				continue
 			}
@@ -157,7 +151,7 @@ func (q *query) expandHeap(kind compKind, owner *comp, it pag.NodeCtx) []pag.Nod
 					}
 					q.step()
 					// vc.Node aliases p; match stores vc.Node.f = y.
-					for _, she := range q.storesIn(vc.Node) {
+					for _, she := range q.g.In(vc.Node) {
 						if she.Kind == pag.EdgeStore && pag.FieldID(she.Label) == f {
 							rch = append(rch, pag.NodeCtx{Node: she.Other, Ctx: vc.Ctx})
 						}
@@ -169,7 +163,7 @@ func (q *query) expandHeap(kind compKind, owner *comp, it pag.NodeCtx) []pag.Nod
 		// it.Node is y with stores q'.f = y: the value flows into field
 		// f of every object q' points to, and out of every load on an
 		// alias of q'.
-		for _, he := range q.storesOut(it.Node) {
+		for _, he := range q.g.Out(it.Node) {
 			if he.Kind != pag.EdgeStore {
 				continue
 			}
@@ -200,7 +194,7 @@ func (q *query) expandHeap(kind compKind, owner *comp, it pag.NodeCtx) []pag.Nod
 					}
 					q.step()
 					// vc.Node aliases base; match loads x = vc.Node.f.
-					for _, lhe := range q.loadsOut(vc.Node) {
+					for _, lhe := range q.g.Out(vc.Node) {
 						if lhe.Kind == pag.EdgeLoad && pag.FieldID(lhe.Label) == f {
 							rch = append(rch, pag.NodeCtx{Node: lhe.Other, Ctx: vc.Ctx})
 						}
@@ -210,24 +204,6 @@ func (q *query) expandHeap(kind compKind, owner *comp, it pag.NodeCtx) []pag.Nod
 		}
 	}
 	return rch
-}
-
-// fieldStores/fieldLoads select the program-wide per-field site index: the
-// Prep's CSR rows (slice-indexed) in kernel mode, the graph's maps otherwise.
-// Both hold the same sites in the same frozen order.
-
-func (q *query) fieldStores(f pag.FieldID) []pag.StoreSite {
-	if k := q.s.cfg.Kernel; k != nil {
-		return k.StoresOf(f)
-	}
-	return q.g.StoresOf(f)
-}
-
-func (q *query) fieldLoads(f pag.FieldID) []pag.LoadSite {
-	if k := q.s.cfg.Kernel; k != nil {
-		return k.LoadsOf(f)
-	}
-	return q.g.LoadsOf(f)
 }
 
 // noteApprox records that field f was matched approximately.
@@ -247,7 +223,7 @@ func (q *query) noteApprox(f pag.FieldID) {
 // to fan-in.
 func (q *query) approxMatchLoad(rch []pag.NodeCtx, n pag.NodeID, f pag.FieldID) []pag.NodeCtx {
 	q.noteApprox(f)
-	for _, st := range q.fieldStores(f) {
+	for _, st := range q.g.StoresOf(f) {
 		if p := q.prof; p != nil && !q.recording {
 			p.approxSite(n, f)
 		}
@@ -261,7 +237,7 @@ func (q *query) approxMatchLoad(rch []pag.NodeCtx, n pag.NodeID, f pag.FieldID) 
 // assumed to flow into every load of f.
 func (q *query) approxMatchStore(rch []pag.NodeCtx, n pag.NodeID, f pag.FieldID) []pag.NodeCtx {
 	q.noteApprox(f)
-	for _, ld := range q.fieldLoads(f) {
+	for _, ld := range q.g.LoadsOf(f) {
 		if p := q.prof; p != nil && !q.recording {
 			p.approxSite(n, f)
 		}

@@ -36,7 +36,6 @@
 package cfl
 
 import (
-	"parcfl/internal/kernel"
 	"parcfl/internal/obs"
 	"parcfl/internal/pag"
 	"parcfl/internal/ptcache"
@@ -92,14 +91,6 @@ type Config struct {
 	// consumed) and instant events for jmp shortcuts taken and early
 	// terminations. A nil sink costs one pointer check per hook.
 	Obs *obs.Sink
-	// Kernel, when non-nil, switches the traversal onto the preprocessed
-	// dense form of the graph (see internal/kernel): CSR adjacency slices
-	// replace the mixed-kind lists and per-context bitsets over kernel IDs
-	// replace the NodeCtx-keyed visited/result maps. The traversal order —
-	// and therefore every result, step count, witness and profile entry —
-	// is byte-identical to the node-at-a-time walk; only the data layout
-	// changes. The Prep must have been built from (or match) this graph.
-	Kernel *kernel.Prep
 	// Profile enables per-query budget attribution: every Result carries a
 	// Prof breakdown whose summed steps equal Result.Steps exactly. Off,
 	// the hooks cost one nil check each and allocate nothing.
@@ -116,16 +107,6 @@ type Config struct {
 type Solver struct {
 	g   *pag.Graph
 	cfg Config
-
-	// Kernel-mode slot-interning scratch (see query.kidx): kslot[n] is
-	// node n's query-local slot when kgen[n] equals the current query
-	// generation kq; knext is the next free slot. Sized once in New,
-	// reused by every query this solver answers — which is why a Solver
-	// must not be shared between goroutines.
-	kslot []int32
-	kgen  []uint64
-	kq    uint64
-	knext int32
 }
 
 // New creates a solver over a frozen graph.
@@ -138,15 +119,6 @@ func New(g *pag.Graph, cfg Config) *Solver {
 	}
 	if cfg.Cache != nil && cfg.Approx != nil {
 		panic("cfl: result caching cannot be combined with field approximation")
-	}
-	if cfg.Kernel != nil {
-		if err := cfg.Kernel.Matches(g); err != nil {
-			panic("cfl: " + err.Error())
-		}
-		return &Solver{g: g, cfg: cfg,
-			kslot: make([]int32, g.NumNodes()),
-			kgen:  make([]uint64, g.NumNodes()),
-		}
 	}
 	return &Solver{g: g, cfg: cfg}
 }

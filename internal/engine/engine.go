@@ -25,7 +25,6 @@ import (
 
 	"parcfl/internal/autopsy"
 	"parcfl/internal/cfl"
-	"parcfl/internal/kernel"
 	"parcfl/internal/obs"
 	"parcfl/internal/pag"
 	"parcfl/internal/ptcache"
@@ -91,11 +90,6 @@ type Config struct {
 	Cache *ptcache.Cache
 	// ContextK k-limits call strings (0 = unlimited, the paper's setting).
 	ContextK int
-	// Kernel, when non-nil, runs every worker's solver in kernel mode over
-	// this preprocessed form of the graph (see internal/kernel and
-	// cfl.Config.Kernel). Results, step counts and schedules are identical
-	// to a run without it; only the traversal's data layout changes.
-	Kernel *kernel.Prep
 	// Obs, when non-nil, receives run metrics, trace events and per-worker
 	// timelines (see internal/obs). A nil sink costs nothing: every hook is
 	// a nil check. Stores and caches created by Run are attached to it;
@@ -348,8 +342,7 @@ func Run(g *pag.Graph, queries []pag.NodeID, cfg Config) ([]QueryResult, Stats) 
 			}()
 			solver := cfl.New(g, cfl.Config{
 				Budget: cfg.Budget, Share: store, Cache: cache, ContextK: cfg.ContextK,
-				Kernel: cfg.Kernel,
-				Obs:    sink, Worker: int32(w),
+				Obs: sink, Worker: int32(w),
 				Profile: cfg.Profile || cfg.Heat != nil,
 			})
 			for {

@@ -86,15 +86,6 @@ type BenchRun struct {
 	QueueShare   float64 `json:"queue_share,omitempty"`
 	SolveShare   float64 `json:"solve_share,omitempty"`
 	FanoutShare  float64 `json:"fanout_share,omitempty"`
-
-	// Traversal-kernel throughput (kernel-on/off rows only; zero
-	// otherwise): budget steps retired per second of engine wall time, and
-	// heap allocations per query (runtime.MemStats.Mallocs delta over the
-	// census). The two rows answer one question — does the preprocessed
-	// dense form actually traverse faster and allocate less than the
-	// NodeCtx-keyed maps — on results asserted byte-identical.
-	StepsPerSec float64 `json:"steps_per_sec,omitempty"`
-	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
 }
 
 // BenchReport is one labelled grid of bench runs — one entry of the
@@ -294,14 +285,6 @@ func BenchGrid(opts Options) (*BenchReport, error) {
 			return nil, err
 		}
 		rep.Runs = append(rep.Runs, serve...)
-		// Kernel rows: the sequential census with the preprocessed
-		// traversal kernel off and on, results asserted identical, so the
-		// trajectory records the layout's steps/sec and allocs/op win.
-		kern, err := KernelRows(b, opts)
-		if err != nil {
-			return nil, err
-		}
-		rep.Runs = append(rep.Runs, kern...)
 	}
 	return rep, nil
 }

@@ -22,13 +22,12 @@ func TestBenchGridSmall(t *testing.T) {
 		t.Fatalf("schema = %q", rep.Schema)
 	}
 	// 4 modes + the DQ+cache row + the Serve-cold/Serve-warm/Serve-soak
-	// rows + the traversal-kernel off/on pair.
-	if len(rep.Runs) != 10 {
-		t.Fatalf("%d runs, want 10", len(rep.Runs))
+	// rows.
+	if len(rep.Runs) != 8 {
+		t.Fatalf("%d runs, want 8", len(rep.Runs))
 	}
 	wantModes := []string{"SeqCFL", "ParCFL-naive", "ParCFL-D", "ParCFL-DQ",
-		"ParCFL-DQ+cache", "Serve-cold", "Serve-warm", "Serve-soak",
-		"seq+kernel-off", "seq+kernel-on"}
+		"ParCFL-DQ+cache", "Serve-cold", "Serve-warm", "Serve-soak"}
 	queries := rep.Runs[0].Queries
 	for i, r := range rep.Runs {
 		if r.Mode != wantModes[i] {
@@ -76,17 +75,6 @@ func TestBenchGridSmall(t *testing.T) {
 	}
 	if c := rep.Runs[4]; c.CacheHits+c.CacheMisses == 0 {
 		t.Fatalf("cache row has no cache activity: %+v", c)
-	}
-	koff, kon := rep.Runs[8], rep.Runs[9]
-	if koff.TotalSteps != kon.TotalSteps {
-		t.Fatalf("kernel rows diverge: off %d steps, on %d", koff.TotalSteps, kon.TotalSteps)
-	}
-	if koff.StepsPerSec <= 0 || kon.StepsPerSec <= 0 {
-		t.Fatalf("kernel rows missing throughput: off %+v on %+v", koff, kon)
-	}
-	if kon.AllocsPerOp >= koff.AllocsPerOp {
-		t.Fatalf("kernel-on allocates %d/op, off %d/op — no allocation win",
-			kon.AllocsPerOp, koff.AllocsPerOp)
 	}
 }
 
@@ -150,7 +138,7 @@ func TestBenchWritesJSONFile(t *testing.T) {
 		t.Fatalf("artifact = schema %q, %d reports", h.Schema, len(h.Reports))
 	}
 	rep := h.Reports[0]
-	if rep.Schema != BenchSchema || len(rep.Runs) != 10 {
+	if rep.Schema != BenchSchema || len(rep.Runs) != 8 {
 		t.Fatalf("report = schema %q, %d runs", rep.Schema, len(rep.Runs))
 	}
 	if rep.Label != "first" || rep.GitRev != "abc1234" {

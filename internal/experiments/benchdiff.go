@@ -99,8 +99,8 @@ type Diff struct {
 	// head (reported, not failed: the suite may legitimately shrink).
 	MissingHead []string `json:"missing_head,omitempty"`
 	// NewHead lists bench/mode cells present in head but absent from base:
-	// freshly added benchmarks or modes (e.g. a kernel-on row landing before
-	// the baseline is re-recorded). They have nothing to gate against, so
+	// freshly added benchmarks or modes (e.g. a row landing before the
+	// baseline is re-recorded). They have nothing to gate against, so
 	// they are reported as new and ungated rather than treated as an error.
 	NewHead []string `json:"new_head,omitempty"`
 	// Incomparable lists cells whose query census differs between the two

@@ -15,7 +15,6 @@ import (
 	"parcfl/internal/autopsy"
 	"parcfl/internal/cfl"
 	"parcfl/internal/frontend"
-	"parcfl/internal/kernel"
 	"parcfl/internal/obs"
 	"parcfl/internal/pag"
 	"parcfl/internal/ptcache"
@@ -28,7 +27,6 @@ type Shell struct {
 	solver *cfl.Solver
 	store  *share.Store
 	cache  *ptcache.Cache
-	kern   *kernel.Prep // nil unless UseKernel was called
 	budget int
 	out    *bufio.Writer
 
@@ -70,27 +68,18 @@ func New(lo *frontend.Lowered, budget int, out io.Writer) *Shell {
 	return sh
 }
 
-// rebuildSolver recreates the session solver from the current store, cache,
-// sink and kernel prep (solvers are stateless between queries, so a rebuild
-// never loses warm state — that lives in the store and cache).
+// rebuildSolver recreates the session solver from the current store, cache
+// and sink (solvers are stateless between queries, so a rebuild never loses
+// warm state — that lives in the store and cache).
 func (sh *Shell) rebuildSolver() {
 	sh.solver = cfl.New(sh.lo.Graph, cfl.Config{
 		Budget:  sh.budget,
 		Share:   sh.store,
 		Cache:   sh.cache,
-		Kernel:  sh.kern,
 		Obs:     sh.sink,
 		Worker:  0,
 		Profile: true,
 	})
-}
-
-// UseKernel switches the session onto the preprocessed traversal kernel
-// (internal/kernel), building it once here. Answers are identical either
-// way; only the traversal's data layout (and throughput) changes.
-func (sh *Shell) UseKernel() {
-	sh.kern = kernel.Build(sh.lo.Graph)
-	sh.rebuildSolver()
 }
 
 // SetObs attaches an observability sink (nil-safe) to the session's jmp

@@ -110,7 +110,7 @@ func TestRandomGraphInvariants(t *testing.T) {
 }
 
 // TestRandomReverseTopoProperty: on larger random graphs, check the two
-// properties kernel.Build relies on against a naive O(V*E) reference —
+// properties sched relies on against a naive O(V*E) reference —
 // same-component iff mutually reachable, and every cross-component edge
 // u -> v lands in a smaller-numbered component (reverse topological
 // numbering, so descending component order is a valid evaluation order).
@@ -175,7 +175,7 @@ func TestRandomReverseTopoProperty(t *testing.T) {
 // TestSuccCalledOncePerNode: the walk must fetch each node's successor slice
 // exactly once (the frame caches it). Calling succ per edge visit makes the
 // walk quadratic for succ functions that materialise their slice, which is
-// exactly how kernel.Build and sched use this package.
+// exactly how sched uses this package.
 func TestSuccCalledOncePerNode(t *testing.T) {
 	const n = 500
 	calls := make([]int, n)

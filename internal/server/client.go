@@ -250,11 +250,11 @@ func (c *Client) Stats(ctx context.Context) (Stats, error) {
 	return s, err
 }
 
-// SaveSnapshot asks the daemon to persist its warm state; an empty path
-// uses the daemon's configured destination. Returns where it landed.
-func (c *Client) SaveSnapshot(ctx context.Context, path string) (string, error) {
+// SaveSnapshot asks the daemon to persist its warm state to its configured
+// snapshot path. Returns where it landed.
+func (c *Client) SaveSnapshot(ctx context.Context) (string, error) {
 	var reply SnapshotReply
-	err := c.do(ctx, http.MethodPost, "/v1/snapshot", &SnapshotSpec{Path: path}, &reply)
+	err := c.do(ctx, http.MethodPost, "/v1/snapshot", nil, &reply)
 	return reply.Path, err
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"strconv"
@@ -31,6 +32,11 @@ const RequestIDHeader = "X-Parcfl-Request-Id"
 // 1024-variable queue depth needs a few tens of KiB, so the cap only ever
 // refuses bodies no admissible request could produce.
 const maxQueryBody = 1 << 20
+
+// maxSnapshotBody caps a /v1/snapshot body in bytes. The endpoint takes no
+// parameters, so any body but an empty JSON object is refused anyway; the
+// cap only bounds how much of one the daemon reads first.
+const maxSnapshotBody = 1 << 10
 
 // QuerySpec is the body of POST /v1/query: one variable or a batch.
 type QuerySpec struct {
@@ -67,12 +73,6 @@ type QueryReply struct {
 	Results []VarResult `json:"results"`
 }
 
-// SnapshotSpec is the body of POST /v1/snapshot.
-type SnapshotSpec struct {
-	// Path overrides the daemon's configured snapshot path when set.
-	Path string `json:"path,omitempty"`
-}
-
 // SnapshotReply reports where the snapshot landed.
 type SnapshotReply struct {
 	Path string `json:"path"`
@@ -89,8 +89,8 @@ type errorReply struct {
 
 // HandlerConfig wires the HTTP surface.
 type HandlerConfig struct {
-	// SnapshotPath is the default destination for /v1/snapshot (required
-	// for that endpoint unless the request carries a path).
+	// SnapshotPath is the only destination /v1/snapshot writes to (the
+	// endpoint answers 400 when it is empty).
 	SnapshotPath string
 	// DefaultTimeout bounds queries that do not set timeout_ms (0 means
 	// 30s).
@@ -337,17 +337,17 @@ func (h *apiHandler) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusMethodNotAllowed, errors.New("POST only"))
 		return
 	}
-	var spec SnapshotSpec
-	if r.ContentLength != 0 {
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
+	// The body is empty or an empty JSON object: clients cannot choose
+	// where the daemon writes, so a body naming a path (or anything else)
+	// is refused before any file is touched.
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSnapshotBody))
+	dec.DisallowUnknownFields()
+	var spec struct{}
+	if err := dec.Decode(&spec); err != nil && !errors.Is(err, io.EOF) {
+		writeErr(w, http.StatusBadRequest, err)
+		return
 	}
-	path := spec.Path
-	if path == "" {
-		path = h.cfg.SnapshotPath
-	}
+	path := h.cfg.SnapshotPath
 	if path == "" {
 		writeErr(w, http.StatusBadRequest, errors.New("no snapshot path configured"))
 		return

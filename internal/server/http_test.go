@@ -7,6 +7,8 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
@@ -208,5 +210,51 @@ func TestQueryTooManyVars(t *testing.T) {
 	body, _ = json.Marshal(QuerySpec{Vars: names[:depth]})
 	if status, e := postQuery(t, ts.URL, body); status != http.StatusNotFound {
 		t.Fatalf("%d vars at depth %d: status %d (%q), want 404", depth, depth, status, e.Error)
+	}
+}
+
+// TestSnapshotPathNotClientChosen: /v1/snapshot writes only to the
+// daemon's configured path. A body naming another path is refused with 400
+// and writes nothing — neither the named file nor the configured one —
+// while an empty body or an empty object still saves to the configured
+// path.
+func TestSnapshotPathNotClientChosen(t *testing.T) {
+	lo := genBench(t)
+	srv := New(lo.Graph, Config{Threads: 1, TypeLevels: lo.TypeLevels, BatchWindow: -1})
+	defer srv.Close()
+	dir := t.TempDir()
+	configured := filepath.Join(dir, "warm.pag")
+	ts := httptest.NewServer(NewHandler(srv, HandlerConfig{SnapshotPath: configured}))
+	defer ts.Close()
+
+	post := func(body string) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/snapshot", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	chosen := filepath.Join(dir, "x")
+	body, _ := json.Marshal(map[string]string{"path": chosen})
+	if status := post(string(body)); status != http.StatusBadRequest {
+		t.Fatalf("body naming a path: status %d, want 400", status)
+	}
+	for _, p := range []string{chosen, configured} {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Fatalf("refused request wrote %s (stat err %v)", p, err)
+		}
+	}
+
+	for _, body := range []string{"", "{}"} {
+		if status := post(body); status != http.StatusOK {
+			t.Fatalf("body %q: status %d, want 200", body, status)
+		}
+		if _, err := os.Stat(configured); err != nil {
+			t.Fatalf("body %q: configured snapshot not written: %v", body, err)
+		}
+		os.Remove(configured)
 	}
 }

@@ -38,7 +38,6 @@ import (
 	"time"
 
 	"parcfl/internal/engine"
-	"parcfl/internal/kernel"
 	"parcfl/internal/obs"
 	"parcfl/internal/pag"
 	"parcfl/internal/ptcache"
@@ -90,11 +89,6 @@ type Config struct {
 	MaxBatch int
 	// QueueDepth caps distinct pending variables (0 means 1024).
 	QueueDepth int
-	// Kernel enables the preprocessed traversal kernel (internal/kernel):
-	// New builds the Prep once at startup; NewFromSnapshot reuses a persisted
-	// Prep when the snapshot carries one (and is auto-enabled by it).
-	// Results are identical either way — the kernel only changes data layout.
-	Kernel bool
 	// Obs receives server and engine metrics (nil disables, as usual).
 	Obs *obs.Sink
 }
@@ -211,14 +205,13 @@ type Stats struct {
 // Server is the resident solver. Create with New or NewFromSnapshot; all
 // methods are safe for concurrent use.
 type Server struct {
-	cfg    Config
-	graph  *pag.Graph
-	store  *share.Store
-	cache  *ptcache.Cache
-	kernel *kernel.Prep // nil unless kernel mode is enabled
-	meta   snapshot.Meta
-	sink   *obs.Sink
-	start  time.Time
+	cfg   Config
+	graph *pag.Graph
+	store *share.Store
+	cache *ptcache.Cache
+	meta  snapshot.Meta
+	sink  *obs.Sink
+	start time.Time
 
 	// reqSeq mints request sequence numbers (1-based); batchSeq is bumped
 	// by the dispatcher alone.
@@ -245,18 +238,16 @@ type Server struct {
 }
 
 // New builds a resident server around a frozen graph, creating a fresh jmp
-// store (for sharing modes) and, if configured, a fresh result cache and a
-// freshly built traversal kernel.
+// store (for sharing modes) and, if configured, a fresh result cache.
 func New(g *pag.Graph, cfg Config) *Server {
-	return newServer(g, nil, nil, nil, snapshot.Meta{TypeLevels: cfg.TypeLevels}, cfg)
+	return newServer(g, nil, nil, snapshot.Meta{TypeLevels: cfg.TypeLevels}, cfg)
 }
 
 // NewFromSnapshot builds a resident server around warm-loaded state: the
 // snapshot's graph, jmp store and result cache are used directly, and its
 // Meta fills any Config fields the caller left zero (TypeLevels, Budget,
 // ContextK) so a warm start replays the settings the state was recorded
-// under. A persisted kernel Prep is reused (skipping the offline build) and
-// auto-enables kernel mode.
+// under.
 func NewFromSnapshot(s *snapshot.Snapshot, cfg Config) *Server {
 	if cfg.TypeLevels == nil {
 		cfg.TypeLevels = s.Meta.TypeLevels
@@ -267,16 +258,10 @@ func NewFromSnapshot(s *snapshot.Snapshot, cfg Config) *Server {
 	if cfg.ContextK == 0 {
 		cfg.ContextK = s.Meta.ContextK
 	}
-	if s.Kernel != nil {
-		cfg.Kernel = true
-	}
-	return newServer(s.Graph, s.Store, s.Cache, s.Kernel, s.Meta, cfg)
+	return newServer(s.Graph, s.Store, s.Cache, s.Meta, cfg)
 }
 
-func newServer(g *pag.Graph, store *share.Store, cache *ptcache.Cache, prep *kernel.Prep, meta snapshot.Meta, cfg Config) *Server {
-	if cfg.Kernel && prep == nil {
-		prep = kernel.Build(g)
-	}
+func newServer(g *pag.Graph, store *share.Store, cache *ptcache.Cache, meta snapshot.Meta, cfg Config) *Server {
 	if cfg.Mode == engine.Seq {
 		cfg.Mode = engine.DQ
 	}
@@ -307,7 +292,7 @@ func newServer(g *pag.Graph, store *share.Store, cache *ptcache.Cache, prep *ker
 		meta.QueryVars = cfg.QueryVars
 	}
 	s := &Server{
-		cfg: cfg, graph: g, store: store, cache: cache, kernel: prep, meta: meta,
+		cfg: cfg, graph: g, store: store, cache: cache, meta: meta,
 		sink: cfg.Obs, start: time.Now(),
 		pending:  make(map[pag.NodeID][]waiter),
 		inflight: make(map[pag.NodeID][]waiter),
@@ -652,7 +637,7 @@ func (s *Server) dispatch() {
 			Mode: s.cfg.Mode, Threads: s.cfg.Threads, Budget: s.cfg.Budget,
 			TauF: s.cfg.TauF, TauU: s.cfg.TauU, TypeLevels: s.cfg.TypeLevels,
 			Store: s.store, Cache: s.cache, ResultCache: s.cache != nil,
-			ContextK: s.cfg.ContextK, Kernel: s.kernel, Obs: s.sink,
+			ContextK: s.cfg.ContextK, Obs: s.sink,
 			Tag: batchSeq,
 		})
 		solveDone := time.Now()
@@ -731,8 +716,7 @@ func (s *Server) Snapshot(label string) *snapshot.Snapshot {
 	meta := s.meta
 	meta.Label = label
 	meta.CreatedUnixNano = time.Now().UnixNano()
-	return &snapshot.Snapshot{Graph: s.graph, Store: s.store, Cache: s.cache, Kernel: s.kernel,
-		Meta: meta}
+	return &snapshot.Snapshot{Graph: s.graph, Store: s.store, Cache: s.cache, Meta: meta}
 }
 
 // SaveSnapshot atomically persists the resident state to path.

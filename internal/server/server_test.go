@@ -279,7 +279,7 @@ func TestHTTPRoundTrip(t *testing.T) {
 		t.Fatalf("stats after one batch: %+v", st)
 	}
 
-	path, err := cl.SaveSnapshot(ctx, "")
+	path, err := cl.SaveSnapshot(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,43 +289,6 @@ func TestHTTPRoundTrip(t *testing.T) {
 
 	if _, err := cl.Query(ctx, []string{"no-such-var"}, time.Second); err == nil {
 		t.Fatal("unknown var accepted")
-	}
-}
-
-// TestKernelServerAnswersMatch: a kernel-mode server serves exactly what the
-// plain server serves (the kernel is a data-layout change, not a semantic
-// one), and its snapshot carries the Prep so a warm start skips the build
-// and auto-enables kernel mode.
-func TestKernelServerAnswersMatch(t *testing.T) {
-	lo := genBench(t)
-	queries := lo.AppQueryVars[:4]
-
-	plain := New(lo.Graph, Config{Threads: 1, TypeLevels: lo.TypeLevels, BatchWindow: -1})
-	kern := New(lo.Graph, Config{Threads: 1, TypeLevels: lo.TypeLevels, BatchWindow: -1, Kernel: true})
-	defer plain.Close()
-	for _, v := range queries {
-		want, err1 := plain.Query(context.Background(), v)
-		got, err2 := kern.Query(context.Background(), v)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("query %d: %v / %v", v, err1, err2)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("var %d: kernel served %+v, plain %+v", v, got, want)
-		}
-	}
-
-	snap := kern.Snapshot("test")
-	kern.Close()
-	if snap.Kernel == nil {
-		t.Fatal("kernel server snapshot lost the prep")
-	}
-	warm := NewFromSnapshot(snap, Config{Threads: 1, BatchWindow: -1})
-	defer warm.Close()
-	if warm.kernel == nil {
-		t.Fatal("warm start from kernel snapshot did not auto-enable kernel mode")
-	}
-	if _, err := warm.Query(context.Background(), queries[0]); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -12,11 +12,19 @@ import (
 	"parcfl/internal/snapshot"
 )
 
-// shardedFixture was saved by a shard-mode daemon (shard 1 of a 2-shard
-// plan over _200_check at scale 0.002) after it answered its share of the
-// census. Its envelope carries the plan and the shard identity — fields
-// later builds no longer have.
-const shardedFixture = "testdata/sharded-v1.snap"
+// Fixtures saved by earlier builds. Their envelopes carry fields later
+// builds no longer declare; gob skips those on decode.
+const (
+	// shardedFixture was saved by a shard-mode daemon (shard 1 of a 2-shard
+	// plan over _200_check at scale 0.002) after it answered its share of the
+	// census. Its envelope carries the plan and the shard identity.
+	shardedFixture = "testdata/sharded-v1.snap"
+	// kernelFixture was saved by a daemon running the since-removed
+	// preprocessed traversal layout over _200_check at scale 0.002, after
+	// it answered the first half of the census. Its envelope carries that
+	// layout's serialised form.
+	kernelFixture = "testdata/kernel-v1.snap"
+)
 
 // TestReadsShardedSnapshot: Read still loads a snapshot written by a
 // shard-mode daemon (gob skips the fields this build no longer declares),
@@ -41,9 +49,40 @@ func TestReadsShardedSnapshot(t *testing.T) {
 			old.Meta.Shard, old.Meta.NumShards, len(old.ShardPlan))
 	}
 
+	answersLikeCold(t, data)
+}
+
+// TestReadsKernelSnapshot: Read still loads a snapshot whose envelope
+// carries the preprocessed traversal layout, ignores those bytes, and a
+// daemon booted from it answers every census variable exactly as a cold
+// daemon over the same graph does.
+func TestReadsKernelSnapshot(t *testing.T) {
+	data, err := os.ReadFile(kernelFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var old struct {
+		HasKernel bool
+		Kernel    []byte
+	}
+	if err := gob.NewDecoder(bytes.NewReader(data[len(snapshot.Magic)+4:])).Decode(&old); err != nil {
+		t.Fatal(err)
+	}
+	if !old.HasKernel || len(old.Kernel) == 0 {
+		t.Fatalf("fixture carries HasKernel=%v and a %d-byte layout; want both", old.HasKernel, len(old.Kernel))
+	}
+	answersLikeCold(t, data)
+}
+
+// answersLikeCold loads the snapshot in data twice, boots a warm daemon
+// from one copy and a cold daemon over the other's graph, and requires
+// both to answer the snapshot's whole census identically, with the warm
+// one hitting the saved result cache.
+func answersLikeCold(t *testing.T, data []byte) {
+	t.Helper()
 	warmSnap, err := snapshot.Read(bytes.NewReader(data))
 	if err != nil {
-		t.Fatalf("sharded snapshot no longer loads: %v", err)
+		t.Fatalf("snapshot no longer loads: %v", err)
 	}
 	if warmSnap.Store == nil || warmSnap.Cache == nil || len(warmSnap.Meta.QueryVars) == 0 {
 		t.Fatal("fixture lost its warm store, cache or census")
@@ -76,7 +115,7 @@ func TestReadsShardedSnapshot(t *testing.T) {
 		g, w := got[i], want[i]
 		if g.Var != w.Var || g.Aborted != w.Aborted || g.Contexts != w.Contexts ||
 			!reflect.DeepEqual(g.Objects, w.Objects) {
-			t.Fatalf("var %d: warm-from-sharded %+v, cold %+v", v, g, w)
+			t.Fatalf("var %d: warm %+v, cold %+v", v, g, w)
 		}
 	}
 	if st := warm.Stats(); st.Cache.Hits == 0 {

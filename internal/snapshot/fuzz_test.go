@@ -6,7 +6,6 @@ import (
 
 	"parcfl/internal/engine"
 	"parcfl/internal/frontend"
-	"parcfl/internal/kernel"
 	"parcfl/internal/pag"
 	"parcfl/internal/ptcache"
 	"parcfl/internal/share"
@@ -14,7 +13,7 @@ import (
 
 // fig2Snapshot encodes a small warm snapshot of the paper's Fig. 2 program:
 // graph, a jmp store and result cache filled by one DQ census (contexts
-// included), and the kernel prep — every section Read decodes.
+// included) — every section Read decodes.
 func fig2Snapshot(tb testing.TB) []byte {
 	tb.Helper()
 	fig, err := frontend.BuildFig2()
@@ -30,7 +29,7 @@ func fig2Snapshot(tb testing.TB) []byte {
 	})
 	var buf bytes.Buffer
 	err = Write(&buf, &Snapshot{
-		Graph: lo.Graph, Store: store, Cache: cache, Kernel: kernel.Build(lo.Graph),
+		Graph: lo.Graph, Store: store, Cache: cache,
 		Meta: Meta{Label: "fuzz-seed", TypeLevels: lo.TypeLevels, QueryVars: lo.AppQueryVars, Budget: 75000},
 	})
 	if err != nil {

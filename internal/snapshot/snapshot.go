@@ -33,7 +33,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"parcfl/internal/kernel"
 	"parcfl/internal/pag"
 	"parcfl/internal/ptcache"
 	"parcfl/internal/share"
@@ -65,17 +64,13 @@ type Meta struct {
 	ContextK int
 }
 
-// Snapshot is the in-memory form: a frozen graph plus optional warm store,
-// cache, and preprocessed kernel form.
+// Snapshot is the in-memory form: a frozen graph plus optional warm store
+// and cache.
 type Snapshot struct {
 	Graph *pag.Graph
 	Store *share.Store   // nil when no jmp store was saved
 	Cache *ptcache.Cache // nil when no result cache was saved
-	// Kernel is the graph's preprocessed traversal form (nil when none was
-	// saved); persisting it lets a warm-started daemon skip the offline
-	// SCC/CSR build. Read verifies it matches the loaded graph.
-	Kernel *kernel.Prep
-	Meta   Meta
+	Meta  Meta
 }
 
 // Wire structs: contexts travel as Key() strings, which uniquely determine
@@ -116,11 +111,9 @@ type envelope struct {
 	CacheEpoch   int64
 	CacheEntries []wireCacheEntry
 
-	// HasKernel/Kernel were added after Version 1 shipped; gob decodes
-	// envelopes without them to the zero value, so the version number is
-	// unchanged (strictly additive).
-	HasKernel bool
-	Kernel    []byte // kernel.WriteGob output
+	// Older Version 1 files may also carry fields this build no longer
+	// declares (a preprocessed traversal layout, a shard plan); gob skips
+	// them on decode, so those files still load.
 }
 
 func toWireNodeCtxs(in []pag.NodeCtx) []wireNodeCtx {
@@ -199,17 +192,6 @@ func Write(w io.Writer, s *Snapshot) error {
 			}
 		}
 	}
-	if s.Kernel != nil {
-		if err := s.Kernel.Matches(s.Graph); err != nil {
-			return fmt.Errorf("snapshot: kernel prep does not match graph: %w", err)
-		}
-		var kbuf bytes.Buffer
-		if err := s.Kernel.WriteGob(&kbuf); err != nil {
-			return err
-		}
-		env.HasKernel = true
-		env.Kernel = kbuf.Bytes()
-	}
 	if _, err := io.WriteString(w, Magic); err != nil {
 		return fmt.Errorf("snapshot: writing header: %w", err)
 	}
@@ -272,16 +254,6 @@ func Read(r io.Reader) (*Snapshot, error) {
 		}
 		s.Store = share.NewStore(env.StoreCfg)
 		s.Store.Import(env.StoreEpoch, entries)
-	}
-	if env.HasKernel {
-		prep, err := kernel.ReadGob(bytes.NewReader(env.Kernel))
-		if err != nil {
-			return nil, err
-		}
-		if err := prep.Matches(g); err != nil {
-			return nil, fmt.Errorf("snapshot: kernel prep does not match graph: %w", err)
-		}
-		s.Kernel = prep
 	}
 	if env.HasCache {
 		entries := make([]ptcache.Exported, len(env.CacheEntries))

@@ -9,7 +9,6 @@ import (
 	"parcfl/internal/engine"
 	"parcfl/internal/frontend"
 	"parcfl/internal/javagen"
-	"parcfl/internal/kernel"
 	"parcfl/internal/pag"
 	"parcfl/internal/ptcache"
 	"parcfl/internal/share"
@@ -228,38 +227,5 @@ func TestSaveLoadFile(t *testing.T) {
 	}
 	if _, err := Load(filepath.Join(t.TempDir(), "missing.pag")); err == nil {
 		t.Fatal("missing file accepted")
-	}
-}
-
-// TestKernelRoundTrip: a snapshot carrying a kernel Prep restores it intact
-// (and validated against the restored graph).
-func TestKernelRoundTrip(t *testing.T) {
-	lo := genBench(t)
-	prep := kernel.Build(lo.Graph)
-	loaded := roundTrip(t, &Snapshot{Graph: lo.Graph, Kernel: prep})
-	if loaded.Kernel == nil {
-		t.Fatal("kernel prep lost in round trip")
-	}
-	if !reflect.DeepEqual(loaded.Kernel, prep) {
-		t.Fatal("kernel prep changed in round trip")
-	}
-	if err := loaded.Kernel.Matches(loaded.Graph); err != nil {
-		t.Fatalf("restored prep does not match restored graph: %v", err)
-	}
-}
-
-// TestKernelMismatchRejected: Write refuses to persist a Prep built from a
-// different graph.
-func TestKernelMismatchRejected(t *testing.T) {
-	lo := genBench(t)
-	tiny := pag.NewGraph()
-	n := tiny.AddLocal("x", 1, 0)
-	o := tiny.AddObject("o", 1)
-	tiny.AddEdge(pag.Edge{Dst: n, Src: o, Kind: pag.EdgeNew})
-	tiny.Freeze()
-	prep := kernel.Build(tiny)
-	var buf bytes.Buffer
-	if err := Write(&buf, &Snapshot{Graph: lo.Graph, Kernel: prep}); err == nil {
-		t.Fatal("mismatched kernel prep accepted")
 	}
 }

@@ -94,7 +94,7 @@ mapfile -t VARS < <("$WORK/parcflq" -addr "$ADDR" -list "$NVARS" | head -n "$NVA
 
 # Explicit snapshot trigger via the API (the shutdown save then overwrites
 # it with strictly warmer state).
-"$WORK/parcflq" -addr "$ADDR" -save ""
+"$WORK/parcflq" -addr "$ADDR" -save
 [ -s "$WORK/warm.pag" ] || { echo "FAIL: /v1/snapshot wrote nothing"; exit 1; }
 
 # /metrics must expose the server series.

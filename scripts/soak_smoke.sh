@@ -88,7 +88,7 @@ stop_daemon() {
 echo "== prime a snapshot =="
 start_daemon cold.log
 "$WORK/parcflq" -addr "$ADDR" -list 4 >/dev/null
-"$WORK/parcflq" -addr "$ADDR" -save ""
+"$WORK/parcflq" -addr "$ADDR" -save
 stop_daemon
 [ -s "$WORK/warm.pag" ] || { echo "FAIL: no snapshot to warm-start from"; exit 1; }
 
